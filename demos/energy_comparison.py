@@ -9,23 +9,17 @@ Run: python demos/energy_comparison.py
 
 from importlib.resources import files
 
-from relscott import (
-    PhysicalConstants,
-    comparison_table,
-    comparison_to_csv,
-    ingest_energy_table,
-    predict_energy,
-    solve_tf,
-)
+import relscott.cli
+from relscott import PhysicalConstants, ingest_energy_table, predict_energy, solve_tf
 
 
 def main() -> None:
-    sol = solve_tf(1e-8)
-    text = files("relscott").joinpath("data/sample_nist.csv").read_text(encoding="utf-8")
-    records = ingest_energy_table(text)
-    rows = comparison_table(records, None, PhysicalConstants(), sol, 1e-8)
+    sample = files("relscott").joinpath("data/sample_nist.csv")
+    relscott.cli.main(["compare", "--nist", str(sample)])
+    print()
 
-    print(comparison_to_csv(rows))
+    sol = solve_tf(1e-8)
+    records = ingest_energy_table(sample.read_text(encoding="utf-8"))
 
     print("asymptotic formula vs tabulated energy (light elements; the")
     print("large-Z expansion is not expected to be accurate down here):")

@@ -12,8 +12,6 @@ from .atomic_energy import (
     NistRecord,
     PhysicalConstants,
     comparison_table,
-    comparison_to_csv,
-    comparison_to_json,
     emit_energy_table,
     ingest_energy_table,
     ingest_reference_table,
@@ -84,8 +82,6 @@ __all__ = [
     "ZetaIdentityCheck",
     "channels_for_l",
     "comparison_table",
-    "comparison_to_csv",
-    "comparison_to_json",
     "coulomb_expectation",
     "density",
     "dirac_degeneracy",

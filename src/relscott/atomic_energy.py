@@ -10,7 +10,6 @@ closed form.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,6 @@ FINE_STRUCTURE_ALPHA = 7.2973525693e-3
 
 ENERGY_TABLE_HEADER = "Z,E_total_Ha"
 REFERENCE_TABLE_HEADER = "Z,E_ref_Ha"
-COMPARISON_HEADER = "Z,gamma,empirical_q,model_q,schwinger_q,reference_q"
 
 
 @dataclass(frozen=True)
@@ -70,10 +68,8 @@ def predict_energy(
     tol: float | None = None,
 ) -> EnergyHa:
     """E(Z) = E_TF(1) Z^{7/3} + (1/2 + s(gamma)) Z^2 (Hartree)."""
-    if not Z > 0.0:
-        raise ValueError(f"Z must be positive, got {Z}")
-    res = shift(g, tol)
-    return tf_energy(Z, tf) + (0.5 + res.value) * Z * Z
+    e_tf = tf_energy(Z, tf)  # validates Z before the costlier shift
+    return e_tf + (0.5 + shift(g, tol).value) * Z * Z
 
 
 def _parse_table(text: str, header: str, what: str) -> list[tuple[int, float]]:
@@ -168,33 +164,3 @@ def comparison_table(
         )
     return rows
 
-
-def _csv_num(value: float | None) -> str:
-    return "" if value is None else f"{value:.12g}"
-
-
-def comparison_to_csv(rows: list[ComparisonRow]) -> str:
-    """CSV emission, 12 significant digits, empty fields for absent values."""
-    lines = [COMPARISON_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.Z},{_csv_num(r.gamma)},{_csv_num(r.empirical_q)},{_csv_num(r.model_q)},"
-            f"{_csv_num(r.schwinger_q)},{_csv_num(r.reference_q)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def comparison_to_json(rows: list[ComparisonRow]) -> str:
-    """JSON array with the CSV's keys; full round-trip float formatting."""
-    payload = [
-        {
-            "Z": r.Z,
-            "gamma": r.gamma,
-            "empirical_q": r.empirical_q,
-            "model_q": r.model_q,
-            "schwinger_q": r.schwinger_q,
-            "reference_q": r.reference_q,
-        }
-        for r in rows
-    ]
-    return json.dumps(payload, indent=2) + "\n"

@@ -10,80 +10,86 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
 
 from .atomic_energy import (
     FINE_STRUCTURE_ALPHA,
     PhysicalConstants,
     comparison_table,
-    comparison_to_csv,
-    comparison_to_json,
     ingest_energy_table,
     ingest_reference_table,
 )
 from .scott_shift import schwinger_shift, shift
 from .thomas_fermi import solve_tf, tf_energy
 
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Shared command configuration; per-operation tolerance ranges are
-    enforced by the operations themselves."""
-
-    tolerance: float = 1e-8
-    alpha: float = FINE_STRUCTURE_ALPHA
-    json_output: bool = False
-    out_path: str | None = None
+COMPARISON_COLUMNS = ("Z", "gamma", "empirical_q", "model_q", "schwinger_q", "reference_q")
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
+def _common_flags(parser: argparse.ArgumentParser, alpha: bool = False) -> None:
     parser.add_argument("--tol", type=float, default=1e-8, help="numerical tolerance (default 1e-8)")
-    parser.add_argument(
-        "--alpha",
-        type=float,
-        default=FINE_STRUCTURE_ALPHA,
-        help="fine-structure constant (default %(default)s)",
-    )
+    if alpha:
+        parser.add_argument(
+            "--alpha",
+            type=float,
+            default=FINE_STRUCTURE_ALPHA,
+            help="fine-structure constant (default %(default)s)",
+        )
     parser.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     parser.add_argument("--out", metavar="PATH", default=None, help="write output to PATH instead of stdout")
 
 
-def _config_of(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(tolerance=args.tol, alpha=args.alpha, json_output=args.json, out_path=args.out)
+@contextmanager
+def _reporting_os_error(action: str, path: str):
+    """Turn an OSError on path into the CLI's one-line error (exit status 1)."""
+    try:
+        yield
+    except OSError as exc:
+        raise RuntimeError(f"cannot {action} {path}: {exc}") from None
 
 
-def _emit(cfg: CliConfig, header: list[str], rows: list[list], payload) -> None:
-    if cfg.json_output:
-        text = json.dumps(payload, indent=2) + "\n"
+def _read(path: str, what: str) -> str:
+    with _reporting_os_error(f"read {what}", path), open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _csv_cell(value) -> str:
+    return "" if value is None else f"{value:.12g}" if isinstance(value, float) else str(value)
+
+
+def _emit(args: argparse.Namespace, records: dict | list[dict], columns=None) -> None:
+    """Write one record (a dict) or a table (a list of dicts) to --out or stdout.
+
+    JSON keeps the records as given; CSV has a header of the columns (default:
+    the first record's keys) and 12 significant digits, empty for None.
+    """
+    if args.json:
+        text = json.dumps(records, indent=2) + "\n"
     else:
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join("" if v is None else f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
+        table = [records] if isinstance(records, dict) else records
+        columns = columns or list(table[0])
+        lines = [",".join(columns)]
+        lines += [",".join(_csv_cell(rec[c]) for c in columns) for rec in table]
         text = "\n".join(lines) + "\n"
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
+    if args.out:
+        with _reporting_os_error("write", args.out), open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
+def _shift_record(gamma: float, tol: float) -> dict:
+    res = shift(gamma, tol)
+    return {
+        "gamma": gamma,
+        "s_d": res.value,
+        "scott_q": 0.5 + res.value,
+        "schwinger_q": 0.5 + schwinger_shift(gamma),
+        "tail_estimate": res.tail_estimate,
+    }
+
+
 def _cmd_shift(args: argparse.Namespace) -> int:
-    cfg = _config_of(args)
-    res = shift(args.gamma, cfg.tolerance)
-    q = 0.5 + res.value
-    q_schw = 0.5 + schwinger_shift(args.gamma)
-    _emit(
-        cfg,
-        ["gamma", "s_d", "scott_q", "schwinger_q", "tail_estimate"],
-        [[args.gamma, res.value, q, q_schw, res.tail_estimate]],
-        {
-            "gamma": args.gamma,
-            "s_d": res.value,
-            "scott_q": q,
-            "schwinger_q": q_schw,
-            "tail_estimate": res.tail_estimate,
-        },
-    )
+    _emit(args, _shift_record(args.gamma, args.tol))
     return 0
 
 
@@ -94,82 +100,49 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         )
     if args.steps < 2:
         raise ValueError(f"steps must be >= 2, got {args.steps}")
-    cfg = _config_of(args)
-    rows = []
-    payload = []
+    records = []
     for i in range(args.steps):
         g = args.gamma_min + (args.gamma_max - args.gamma_min) * i / (args.steps - 1)
-        res = shift(g, cfg.tolerance)
-        q = 0.5 + res.value
-        q_schw = 0.5 + schwinger_shift(g)
-        rows.append([g, res.value, q, q_schw])
-        payload.append({"gamma": g, "s_d": res.value, "scott_q": q, "schwinger_q": q_schw})
-    _emit(cfg, ["gamma", "s_d", "scott_q", "schwinger_q"], rows, payload)
+        rec = _shift_record(g, args.tol)
+        del rec["tail_estimate"]
+        records.append(rec)
+    _emit(args, records)
     return 0
 
 
 def _cmd_tf(args: argparse.Namespace) -> int:
-    cfg = _config_of(args)
-    sol = solve_tf(cfg.tolerance)
+    sol = solve_tf(args.tol)
     if args.profile:
-        sol.export_profile_csv(args.profile)
-    _emit(
-        cfg,
-        ["initial_slope", "e_tf_1"],
-        [[sol.initial_slope, sol.e_tf_1]],
-        {"initial_slope": sol.initial_slope, "e_tf_1": sol.e_tf_1},
-    )
+        with _reporting_os_error("write", args.profile):
+            sol.export_profile_csv(args.profile)
+    _emit(args, {"initial_slope": sol.initial_slope, "e_tf_1": sol.e_tf_1})
     return 0
 
 
 def _cmd_energy(args: argparse.Namespace) -> int:
     if args.Z <= 0.0:
         raise ValueError(f"Z must be positive, got {args.Z}")
-    cfg = _config_of(args)
-    gamma = args.gamma if args.gamma is not None else cfg.alpha * args.Z
+    alpha = PhysicalConstants(args.alpha).alpha
+    gamma = args.gamma if args.gamma is not None else alpha * args.Z
     if not (0.0 <= gamma < 1.0):
         raise ValueError(f"coupling gamma = {gamma} outside [0, 1); pass --gamma explicitly")
-    sol = solve_tf(min(cfg.tolerance, 1e-4))
-    res = shift(gamma, cfg.tolerance)
-    q = 0.5 + res.value
-    energy = tf_energy(args.Z, sol) + q * args.Z**2
+    sol = solve_tf(min(args.tol, 1e-4))
+    q = 0.5 + shift(gamma, args.tol).value
+    e_tf = tf_energy(args.Z, sol)
     _emit(
-        cfg,
-        ["Z", "gamma", "e_tf_ha", "scott_q", "energy_ha"],
-        [[args.Z, gamma, tf_energy(args.Z, sol), q, energy]],
-        {
-            "Z": args.Z,
-            "gamma": gamma,
-            "e_tf_ha": tf_energy(args.Z, sol),
-            "scott_q": q,
-            "energy_ha": energy,
-        },
+        args,
+        {"Z": args.Z, "gamma": gamma, "e_tf_ha": e_tf, "scott_q": q, "energy_ha": e_tf + q * args.Z**2},
     )
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _config_of(args)
-    try:
-        with open(args.nist, "r", encoding="utf-8") as fh:
-            records = ingest_energy_table(fh.read())
-    except OSError as exc:
-        raise RuntimeError(f"cannot read energy table {args.nist}: {exc}") from None
-    reference = None
-    if args.ref:
-        try:
-            with open(args.ref, "r", encoding="utf-8") as fh:
-                reference = ingest_reference_table(fh.read())
-        except OSError as exc:
-            raise RuntimeError(f"cannot read reference table {args.ref}: {exc}") from None
-    sol = solve_tf(min(cfg.tolerance, 1e-4))
-    rows = comparison_table(records, reference, PhysicalConstants(cfg.alpha), sol, cfg.tolerance)
-    text = comparison_to_json(rows) if cfg.json_output else comparison_to_csv(rows)
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    constants = PhysicalConstants(args.alpha)
+    records = ingest_energy_table(_read(args.nist, "energy table"))
+    reference = ingest_reference_table(_read(args.ref, "reference table")) if args.ref else None
+    sol = solve_tf(min(args.tol, 1e-4))
+    rows = comparison_table(records, reference, constants, sol, args.tol)
+    _emit(args, [{c: getattr(r, c) for c in COMPARISON_COLUMNS} for r in rows], COMPARISON_COLUMNS)
     return 0
 
 
@@ -201,13 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("energy", help="predicted ground-state energy E(Z)")
     p.add_argument("--Z", type=float, required=True)
     p.add_argument("--gamma", type=float, default=None, help="override gamma (default alpha*Z)")
-    _common_flags(p)
+    _common_flags(p, alpha=True)
     p.set_defaults(func=_cmd_energy)
 
     p = sub.add_parser("compare", help="empirical/model/Schwinger coefficient table")
     p.add_argument("--nist", metavar="PATH", required=True, help="energy table CSV (Z,E_total_Ha)")
     p.add_argument("--ref", metavar="PATH", default=None, help="reference table CSV (Z,E_ref_Ha)")
-    _common_flags(p)
+    _common_flags(p, alpha=True)
     p.set_defaults(func=_cmd_compare)
 
     return parser

@@ -125,13 +125,6 @@ def tail_coefficients_reduced(gamma: float, kappa_bar: float) -> tuple[float, fl
     return r3, r4, r5
 
 
-def tail_coefficients(gamma: float, kappa_bar: float) -> tuple[float, float, float]:
-    """Exact leading 1/N coefficients of lambda_D - lambda_S in a channel."""
-    g2 = gamma * gamma
-    r3, r4, r5 = tail_coefficients_reduced(gamma, kappa_bar)
-    return g2 * r3, g2 * r4, g2 * r5
-
-
 def fine_structure_kernel(gamma: float, principal, kappa_bar: float):
     """-gamma^4/(2 N^3) (1/kb - 3/(4N)) over an array of principal numbers."""
     n_pr = np.asarray(principal, dtype=float)

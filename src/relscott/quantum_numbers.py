@@ -55,6 +55,15 @@ class LevelIndex:
         return self.n + self.channel.l
 
 
+def kappa_bars(l: int) -> tuple[float, ...]:
+    """kb = j + 1/2 of the channels of orbital angular momentum l, in increasing j.
+
+    (1.0,) for l = 0, (l, l + 1) otherwise.  Plain floats and no validation:
+    the channel sums of scott_shift call this thousands of times per shift.
+    """
+    return (1.0,) if l == 0 else (float(l), float(l + 1))
+
+
 def channels_for_l(l: int) -> list[ChannelIndex]:
     """Channels of orbital angular momentum l, in increasing j.
 
@@ -62,11 +71,7 @@ def channels_for_l(l: int) -> list[ChannelIndex]:
     """
     if not isinstance(l, int) or l < 0:
         raise ValueError(f"l must be a nonnegative integer, got {l!r}")
-    out = []
-    for j in (l - 0.5, l + 0.5):
-        if j >= 0.5:
-            out.append(ChannelIndex(l, j))
-    return out
+    return [ChannelIndex(l, kb - 0.5) for kb in kappa_bars(l)]
 
 
 def dirac_degeneracy(channel: ChannelIndex) -> int:
@@ -78,7 +83,8 @@ def iter_channels(l_max: int) -> Iterator[ChannelIndex]:
     """All channels with l <= l_max, in (increasing l, increasing j) order.
 
     This ordering is the canonical reduction order for every channel sum in
-    the package; deterministic results rely on it.
+    the package (scott_shift loops over l and kappa_bars(l) in the same
+    order); deterministic results rely on it.
     """
     for l in range(l_max + 1):
         yield from channels_for_l(l)

@@ -4,7 +4,8 @@ s(gamma) = gamma^-2 * sum over channels (l, j), weight 2j+1, of
 sum_n (lambda_D - lambda_S).  Every summand is strictly negative, so s < 0 on
 (0, 1); s(0) = 0; the Scott coefficient is q = 1/2 + s(gamma).
 
-Evaluation strategy (all pieces deterministic, fixed reduction order):
+Evaluation strategy (all pieces deterministic; channels are reduced in the
+canonical order of quantum_numbers.iter_channels, enumerated by kappa_bars):
   * direct summation over l < L, n <= N via the cancellation-free
     combined-difference kernel;
   * per-channel n-tails summed in closed form with Hurwitz zeta at the exact
@@ -32,8 +33,10 @@ from .hydrogenic import (
     Coupling,
     _gamma_of,
     difference_over_gamma2_kernel,
+    fine_structure_kernel,
     tail_coefficients_reduced,
 )
+from .quantum_numbers import kappa_bars
 from .zeta import ZETA_2, ZETA_4, hurwitz_zeta, riemann_zeta
 
 # (zeta(3) - 5 pi^2/24): coefficient of gamma^2 in Schwinger's closed form
@@ -91,10 +94,6 @@ def _as_coupling(g: Coupling | float) -> Coupling:
     return g if isinstance(g, Coupling) else Coupling(float(g))
 
 
-def _channel_kappa_bars(l: int) -> tuple[float, ...]:
-    return (1.0,) if l == 0 else (float(l), float(l + 1))
-
-
 class _Neumaier:
     """Compensated accumulator; fixed-order adds give bit-stable totals."""
 
@@ -125,7 +124,7 @@ def direct_channel_sum(gamma: float, l_cut: int, n_cut: int) -> float:
     acc = _Neumaier()
     n = np.arange(1, n_cut + 1, dtype=float)
     for l in range(l_cut + 1):
-        for kb in _channel_kappa_bars(l):
+        for kb in kappa_bars(l):
             vals = difference_over_gamma2_kernel(gamma, n + l, kb)
             acc.add(2.0 * kb * float(np.sum(vals)))
     return acc.total()
@@ -151,7 +150,7 @@ def _direct_plus_model(gamma: float, l_count: int, n_cut: int) -> tuple[float, f
     acc2 = _Neumaier()
     n = np.arange(1, 2 * n_cut + 1, dtype=float)
     for l in range(l_count):
-        for kb in _channel_kappa_bars(l):
+        for kb in kappa_bars(l):
             w = 2.0 * kb
             vals = difference_over_gamma2_kernel(gamma, n + l, kb)
             head = w * float(np.sum(vals[:n_cut]))
@@ -196,7 +195,7 @@ def _l_tail_residual_bound(gamma: float, l_count: int) -> float:
     l = l_count
     while True:
         term = 0.0
-        for kb in _channel_kappa_bars(l):
+        for kb in kappa_bars(l):
             s = math.sqrt((kb - gamma) * (kb + gamma))
             m3 = g2 * g2 / (2.0 * kb * (kb + s) ** 2)  # gamma^6/... divided by gamma^2
             m4 = 3.0 * g2 * g2 / (2.0 * (kb + s) ** 2)
@@ -299,11 +298,8 @@ def schwinger_shift_bruteforce(g: Coupling | float, l_max: int, n_max: int) -> f
     acc = _Neumaier()
     n = np.arange(1, n_max + 1, dtype=float)
     for l in range(l_max + 1):
-        n_pr = n + l
-        inv3 = 1.0 / (n_pr * n_pr * n_pr)
-        for kb in _channel_kappa_bars(l):
-            # fs/gamma^2 = -gamma^2/(2 N^3) (1/kb - 3/(4N)), weight 2 kb
-            vals = -g2 * 0.5 * inv3 * (1.0 / kb - 0.75 / n_pr)
+        for kb in kappa_bars(l):
+            vals = fine_structure_kernel(gamma, n + l, kb) / g2
             acc.add(2.0 * kb * float(np.sum(vals)))
     return acc.total()
 

@@ -68,6 +68,12 @@ class InsufficientChargeError(ValueError):
     """Total charge below 1/2: no exchange-hole radius exists."""
 
 
+def _require_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value}")
+
+
 def _series_phi(x, slope: float):
     x = np.asarray(x, dtype=float)
     return 1.0 + slope * x + (4.0 / 3.0) * x**1.5 + 0.4 * slope * x**2.5
@@ -82,6 +88,14 @@ def _asymptote_phi(x, coeff: float):
     x = np.asarray(x, dtype=float)
     t = coeff * x ** (-DECAY_SIGMA)
     return 144.0 / x**3 * (1.0 - t + _ASYMP_A2 * t * t)
+
+
+def _asymptote_dphi(x, coeff: float):
+    x = np.asarray(x, dtype=float)
+    t = coeff * x ** (-DECAY_SIGMA)
+    u = 1.0 - t + _ASYMP_A2 * t * t
+    du = DECAY_SIGMA * t - 2.0 * DECAY_SIGMA * _ASYMP_A2 * t * t  # d u / d ln x
+    return 144.0 / x**4 * (-3.0 * u + du)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,70 +124,61 @@ class TfSolution:
     _charge_ip: Callable = field(repr=False, compare=False)
     _outer_ip: Callable = field(repr=False, compare=False)
 
-    def phi_at(self, x) -> np.ndarray:
-        """Profile phi(x) for any x > 0 (scalar or array)."""
+    def _piecewise(self, x, below, on_grid, above):
+        """Evaluate below the grid, on it (interpolated) and above it."""
         x = np.asarray(x, dtype=float)
-        if np.any(x <= 0.0):
-            raise ValueError("phi_at requires x > 0")
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
         out = np.empty_like(x)
         lo = x < self.grid[0]
         hi = x > self.grid[-1]
         mid = ~(lo | hi)
-        out[lo] = _series_phi(x[lo], self.initial_slope)
-        out[mid] = self._phi_ip(x[mid])
-        out[hi] = _asymptote_phi(x[hi], self.asymptote_coefficient)
+        out[lo] = below(x[lo])
+        out[mid] = on_grid(x[mid])
+        out[hi] = above(x[hi])
         return float(out[0]) if scalar else out
+
+    def phi_at(self, x) -> np.ndarray:
+        """Profile phi(x) for any x > 0 (scalar or array)."""
+        x = np.asarray(x, dtype=float)
+        if np.any(x <= 0.0):
+            raise ValueError("phi_at requires x > 0")
+        return self._piecewise(
+            x,
+            lambda t: _series_phi(t, self.initial_slope),
+            self._phi_ip,
+            lambda t: _asymptote_phi(t, self.asymptote_coefficient),
+        )
 
     def dphi_at(self, x) -> np.ndarray:
         """Profile derivative phi'(x) for any x > 0."""
         x = np.asarray(x, dtype=float)
         if np.any(x <= 0.0):
             raise ValueError("dphi_at requires x > 0")
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.empty_like(x)
-        lo = x < self.grid[0]
-        hi = x > self.grid[-1]
-        mid = ~(lo | hi)
-        out[lo] = _series_dphi(x[lo], self.initial_slope)
-        out[mid] = self._dphi_ip(x[mid])
-        xo = x[hi]
-        t = self.asymptote_coefficient * xo ** (-DECAY_SIGMA)
-        u = 1.0 - t + _ASYMP_A2 * t * t
-        du = DECAY_SIGMA * t - 2.0 * DECAY_SIGMA * _ASYMP_A2 * t * t  # d u / d ln x
-        out[hi] = 144.0 / xo**4 * (-3.0 * u + du)
-        return float(out[0]) if scalar else out
+        return self._piecewise(
+            x,
+            lambda t: _series_dphi(t, self.initial_slope),
+            self._dphi_ip,
+            lambda t: _asymptote_dphi(t, self.asymptote_coefficient),
+        )
 
     def enclosed_profile_charge(self, x) -> np.ndarray:
         """q(x) = int_0^x phi^{3/2} sqrt(t) dt; q(inf) = 1 (charge fraction)."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.empty_like(x)
-        lo = x < self.grid[0]
-        hi = x > self.grid[-1]
-        mid = ~(lo | hi)
-        out[lo] = (2.0 / 3.0) * x[lo] ** 1.5
-        out[mid] = self._charge_ip(x[mid])
-        xo = x[hi]
-        out[hi] = 1.0 - (self.phi_at(xo) - xo * self.dphi_at(xo))
-        return float(out[0]) if scalar else out
+        return self._piecewise(
+            x,
+            lambda t: (2.0 / 3.0) * t**1.5,
+            self._charge_ip,
+            lambda t: 1.0 - (self.phi_at(t) - t * self.dphi_at(t)),
+        )
 
     def outer_profile_integral(self, x) -> np.ndarray:
         """o(x) = int_x^inf phi^{3/2} t^{-1/2} dt = -phi'(x) for the exact profile."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.empty_like(x)
-        lo = x < self.grid[0]
-        hi = x > self.grid[-1]
-        mid = ~(lo | hi)
-        out[lo] = self._outer_ip(self.grid[0]) + 2.0 * (np.sqrt(self.grid[0]) - np.sqrt(x[lo]))
-        out[mid] = self._outer_ip(x[mid])
-        out[hi] = -self.dphi_at(x[hi])
-        return float(out[0]) if scalar else out
+        return self._piecewise(
+            x,
+            lambda t: self._outer_ip(self.grid[0]) + 2.0 * (np.sqrt(self.grid[0]) - np.sqrt(t)),
+            self._outer_ip,
+            lambda t: -self.dphi_at(t),
+        )
 
     def export_profile_csv(self, path) -> None:
         """Write the x,phi table (12 significant digits)."""
@@ -393,8 +398,7 @@ def tf_functional_at_scale(sol: TfSolution, amplitude: float) -> float:
 
 def tf_energy(Z: float, sol: TfSolution) -> EnergyHa:
     """E_TF(Z) = E_TF(1) * Z^{7/3} (Hartree)."""
-    if not Z > 0.0:
-        raise ValueError(f"Z must be positive, got {Z}")
+    _require_positive(Z=Z)
     return sol.e_tf_1 * Z ** (7.0 / 3.0)
 
 
@@ -411,8 +415,7 @@ class RadialDensity:
     """
 
     def __init__(self, Z: float, sol: TfSolution):
-        if not Z > 0.0:
-            raise ValueError(f"Z must be positive, got {Z}")
+        _require_positive(Z=Z)
         self.Z = float(Z)
         self._sol = sol
 
@@ -441,8 +444,7 @@ def mean_field(Z: float, sol: TfSolution, r) -> float | np.ndarray:
     cumulative quadratures of the profile; the Z-dependence enters through
     the exact scaling V_Z(r) = Z^{4/3} V_1(Z^{1/3} r).
     """
-    if not Z > 0.0:
-        raise ValueError(f"Z must be positive, got {Z}")
+    _require_positive(Z=Z)
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("mean_field requires r > 0")
@@ -500,10 +502,7 @@ def exchange_hole_radius(Z: float, sol: TfSolution, r: float) -> float:
     Computed by bisection on the spherically averaged enclosed-charge
     integral; satisfies the scaling R_Z(r) = Z^{-1/3} R_1(Z^{1/3} r).
     """
-    if not Z > 0.0:
-        raise ValueError(f"Z must be positive, got {Z}")
-    if not r > 0.0:
-        raise ValueError(f"r must be positive, got {r}")
+    _require_positive(Z=Z, r=r)
     if Z < 0.5:
         raise InsufficientChargeError(
             f"total charge {Z} < 1/2: no half-charge ball exists"
@@ -529,12 +528,7 @@ def screening_potential(Z: float, c: float, sol: TfSolution, x: float) -> float:
     charge-1/2 hole ball contribution.  Satisfies
     0 < chi(x) < c^-2 V_Z(x/c) and ||chi||_inf <= C Z^{4/3} c^-2.
     """
-    if not Z > 0.0:
-        raise ValueError(f"Z must be positive, got {Z}")
-    if not c > 0.0:
-        raise ValueError(f"c must be positive, got {c}")
-    if not x > 0.0:
-        raise ValueError(f"x must be positive, got {x}")
+    _require_positive(Z=Z, c=c, x=x)
     xt = x / c
     radius = exchange_hole_radius(Z, sol, xt)
     w_nodes, charge_w = _charge_quadrature(Z, sol)

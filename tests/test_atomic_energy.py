@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -8,8 +7,6 @@ from relscott import (
     NistRecord,
     PhysicalConstants,
     comparison_table,
-    comparison_to_csv,
-    comparison_to_json,
     emit_energy_table,
     ingest_energy_table,
     ingest_reference_table,
@@ -161,34 +158,3 @@ def test_comparison_pure_function(tf_solution):
     b = comparison_table(recs, None, PhysicalConstants(), tf_solution, 1e-8)
     assert a == b  # bit-identical dataclasses
 
-
-def test_csv_emission(tf_solution):
-    rows = comparison_table(
-        [NistRecord(1, -0.5), NistRecord(138, -1e5)],
-        None,
-        PhysicalConstants(),
-        tf_solution,
-        1e-8,
-    )
-    text = comparison_to_csv(rows)
-    lines = text.splitlines()
-    assert lines[0] == "Z,gamma,empirical_q,model_q,schwinger_q,reference_q"
-    assert len(lines) == 3
-    flagged_fields = lines[2].split(",")
-    assert flagged_fields[3] == "" and flagged_fields[5] == ""  # no model/reference value
-    assert float(lines[1].split(",")[2]) == pytest.approx(rows[0].empirical_q, rel=1e-11)
-
-
-def test_json_emission(tf_solution):
-    rows = comparison_table(
-        [NistRecord(1, -0.5), NistRecord(138, -1e5)],
-        None,
-        PhysicalConstants(),
-        tf_solution,
-        1e-8,
-    )
-    payload = json.loads(comparison_to_json(rows))
-    assert [p["Z"] for p in payload] == [1, 138]
-    assert payload[0]["model_q"] == rows[0].model_q  # full round-trip float
-    assert payload[1]["model_q"] is None
-    assert set(payload[0]) == {"Z", "gamma", "empirical_q", "model_q", "schwinger_q", "reference_q"}

@@ -2,10 +2,17 @@ import json
 import subprocess
 import sys
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
+from relscott import NistRecord, PhysicalConstants, comparison_table
+from relscott.cli import main
+
 SAMPLE = str(files("relscott").joinpath("data/sample_nist.csv"))
+GOLDEN = Path(__file__).parent / "data"
+# Z = 138 has alpha*Z >= 1: the row is flagged and carries no model value
+FLAGGED_TABLE = "Z,E_total_Ha\n1,-0.5\n138,-100000.0\n"
 
 
 def run_cli(*args, **kwargs):
@@ -154,3 +161,118 @@ def test_compare_parse_error_names_line(tmp_path):
     res = run_cli("compare", "--nist", str(bad))
     assert res.returncode != 0
     assert "line 2" in res.stderr
+
+
+def _compare_out(tmp_path, table_text, *flags):
+    """Run `compare` in process on the given table; return what it wrote to --out."""
+    table = tmp_path / "table.csv"
+    table.write_text(table_text)
+    out = tmp_path / "out.txt"
+    assert main(["compare", "--nist", str(table), "--out", str(out), *flags]) == 0
+    return out.read_text()
+
+
+def _flagged_rows(tf_solution, reference=None):
+    return comparison_table(
+        [NistRecord(1, -0.5), NistRecord(138, -1e5)],
+        reference,
+        PhysicalConstants(),
+        tf_solution,
+        1e-8,
+    )
+
+
+def test_csv_emission(tmp_path, tf_solution):
+    rows = _flagged_rows(tf_solution)
+    lines = _compare_out(tmp_path, FLAGGED_TABLE).splitlines()
+    assert lines[0] == "Z,gamma,empirical_q,model_q,schwinger_q,reference_q"
+    assert len(lines) == 3
+    flagged_fields = lines[2].split(",")
+    assert flagged_fields[3] == "" and flagged_fields[5] == ""  # no model/reference value
+    assert float(lines[1].split(",")[2]) == pytest.approx(rows[0].empirical_q, rel=1e-11)
+
+
+def test_json_emission(tmp_path, tf_solution):
+    rows = _flagged_rows(tf_solution)
+    payload = json.loads(_compare_out(tmp_path, FLAGGED_TABLE, "--json"))
+    assert [p["Z"] for p in payload] == [1, 138]
+    assert payload[0]["model_q"] == rows[0].model_q  # full round-trip float
+    assert payload[1]["model_q"] is None
+    assert set(payload[0]) == {"Z", "gamma", "empirical_q", "model_q", "schwinger_q", "reference_q"}
+
+
+def test_compare_json_equals_comparison_table(tmp_path, tf_solution):
+    ref = tmp_path / "ref.csv"
+    ref.write_text("Z,E_ref_Ha\n1,-0.51\n")
+    rows = _flagged_rows(tf_solution, [NistRecord(1, -0.51)])
+    payload = json.loads(_compare_out(tmp_path, FLAGGED_TABLE, "--json", "--ref", str(ref)))
+    assert payload == [
+        {
+            "Z": r.Z,
+            "gamma": r.gamma,
+            "empirical_q": r.empirical_q,
+            "model_q": r.model_q,
+            "schwinger_q": r.schwinger_q,
+            "reference_q": r.reference_q,
+        }
+        for r in rows
+    ]
+
+
+def test_compare_header_only_table(tmp_path):
+    empty = "Z,E_total_Ha\n"
+    assert _compare_out(tmp_path, empty) == "Z,gamma,empirical_q,model_q,schwinger_q,reference_q\n"
+    assert _compare_out(tmp_path, empty, "--json") == "[]\n"
+
+
+# The goldens were written by the CLI (`--out`) and pin its output byte for
+# byte across changes; regenerate them only for an intended output change.
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("curve_0_0.99_12.csv", ["curve", "--gamma-min", "0", "--gamma-max", "0.99", "--steps", "12"]),
+        ("compare_sample_nist.csv", ["compare", "--nist", SAMPLE]),
+    ],
+)
+def test_pinned_output_matches_golden(golden, argv, tmp_path):
+    out = tmp_path / golden
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_unwritable_out_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "missing" / "x.csv"
+    assert main(["shift", "--gamma", "0.5", "--out", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {bad}: ")
+
+
+def test_unwritable_profile_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "missing" / "profile.csv"
+    assert main(["tf", "--profile", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {bad}: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shift", "--gamma", "0.5"],
+        ["curve", "--gamma-min", "0", "--gamma-max", "0.5", "--steps", "2"],
+        ["tf"],
+    ],
+)
+def test_alpha_only_where_used(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--alpha", "5"])
+    assert exc.value.code == 2
+    assert "--alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["0.05", "-1"])
+def test_energy_validates_alpha_like_compare(alpha, capsys):
+    assert main(["energy", "--Z", "10", "--alpha", alpha]) == 1
+    energy_err = capsys.readouterr().err
+    assert energy_err == f"error: alpha must lie in (0, 0.01), got {float(alpha)!r}\n"
+    assert main(["compare", "--nist", SAMPLE, "--alpha", alpha]) == 1
+    assert capsys.readouterr().err == energy_err
