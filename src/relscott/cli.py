@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 
@@ -120,8 +121,8 @@ def _cmd_tf(args: argparse.Namespace) -> int:
 
 
 def _cmd_energy(args: argparse.Namespace) -> int:
-    if args.Z <= 0.0:
-        raise ValueError(f"Z must be positive, got {args.Z}")
+    if not (math.isfinite(args.Z) and args.Z > 0.0):
+        raise ValueError(f"Z must be a positive finite number, got {args.Z}")
     alpha = PhysicalConstants(args.alpha).alpha
     gamma = args.gamma if args.gamma is not None else alpha * args.Z
     if not (0.0 <= gamma < 1.0):

@@ -86,15 +86,20 @@ def difference_over_gamma2_kernel(gamma: float, principal, kappa_bar: float):
     for gamma > 0 and carries no subtractive cancellation.  The gamma^2
     factor is removed analytically (delta itself is O(gamma^2)), keeping the
     channel sums finite-term-by-term down to gamma -> 0.
+
+    Elementwise in principal and kappa_bar, which broadcast: a (rows, n)
+    principal with a (rows, 1) kappa_bar evaluates one channel per row, with
+    the same bits as a 1-D call per channel.
     """
     n_pr = np.asarray(principal, dtype=float)
     g2 = gamma * gamma
-    s = math.sqrt((kappa_bar - gamma) * (kappa_bar + gamma))
+    s = np.sqrt((kappa_bar - gamma) * (kappa_bar + gamma))
     delta = g2 / (kappa_bar + s)
     n2 = n_pr * n_pr
-    big = n2 - 2.0 * (n_pr - kappa_bar) * delta
+    fs_shift = 2.0 * (n_pr - kappa_bar) * delta  # Delta = N^2 - fs_shift
+    big = n2 - fs_shift
     x = g2 / big
-    numer = -(2.0 * (n_pr - kappa_bar) * delta / (n2 * big) + g2 / (4.0 * n2 * n2))
+    numer = -(fs_shift / (n2 * big) + g2 / (4.0 * n2 * n2))
     denom = np.sqrt(1.0 - x) + 1.0 - g2 / (2.0 * n2)
     return numer / denom
 
@@ -104,7 +109,7 @@ def difference_kernel(gamma: float, principal, kappa_bar: float):
     return gamma * gamma * difference_over_gamma2_kernel(gamma, principal, kappa_bar)
 
 
-def tail_coefficients_reduced(gamma: float, kappa_bar: float) -> tuple[float, float, float]:
+def tail_coefficients_reduced(gamma: float, kappa_bar):
     """Exact leading 1/N coefficients of (lambda_D - lambda_S)/gamma^2.
 
     (lambda_D - lambda_S)/gamma^2 = r3/N^3 + r4/N^4 + r5/N^5 + O(N^-6) with
@@ -114,10 +119,11 @@ def tail_coefficients_reduced(gamma: float, kappa_bar: float) -> tuple[float, fl
         r5 = 4 delta^2 s - gamma^2 delta / 2,
 
     and the O(N^-6) residual uniformly ~1/N^6 in gamma < 1 (checked against a
-    50-digit reference).  Used for closed-form series tails via Hurwitz zeta.
+    50-digit reference).  Used for closed-form series tails via Hurwitz zeta;
+    kappa_bar may be an array of channels.
     """
     g2 = gamma * gamma
-    s = math.sqrt((kappa_bar - gamma) * (kappa_bar + gamma))
+    s = np.sqrt((kappa_bar - gamma) * (kappa_bar + gamma))
     delta = g2 / (kappa_bar + s)
     r3 = -delta
     r4 = delta * kappa_bar - 2.0 * delta * delta - g2 / 8.0

@@ -4,17 +4,24 @@ s(gamma) = gamma^-2 * sum over channels (l, j), weight 2j+1, of
 sum_n (lambda_D - lambda_S).  Every summand is strictly negative, so s < 0 on
 (0, 1); s(0) = 0; the Scott coefficient is q = 1/2 + s(gamma).
 
-Evaluation strategy (all pieces deterministic; channels are reduced in the
-canonical order of quantum_numbers.iter_channels, enumerated by kappa_bars):
-  * direct summation over l < L, n <= N via the cancellation-free
-    combined-difference kernel;
-  * per-channel n-tails summed in closed form with Hurwitz zeta at the exact
-    1/N^3..1/N^5 expansion coefficients of the channel (residual ~ N^-6,
-    certified at runtime by a cutoff-doubling indicator);
+Evaluation strategy (all pieces deterministic):
+  * channels are taken in the canonical order of quantum_numbers.iter_channels
+    (increasing l, then kappa_bars(l)) and evaluated a block at a time: one
+    2-D call of the cancellation-free combined-difference kernel per block
+    (one row per channel, its levels n <= N along the row, about
+    _BLOCK_ELEMENTS values per block), whose row sums are the channels'
+    direct sums over l < L, n <= N;
+  * per-channel n-tails summed in closed form with Hurwitz zeta (over the
+    array of channels) at the exact 1/N^3..1/N^5 expansion coefficients of
+    the channel (residual ~ N^-6, certified at runtime by a cutoff-doubling
+    indicator); the tails at 2N are reused as the next doubling's tails at N;
   * the l >= L remainder in the fine-structure model, summed exactly via the
     double-sum zeta identity, with a computed bound on the model error (the
     exact coefficient mismatches are gamma^6/(2 kb (kb+s)^2) at 1/N^3 and
-    3 gamma^6/(2 (kb+s)^2) at 1/N^4).
+    3 gamma^6/(2 (kb+s)^2) at 1/N^4), its l-window evaluated as arrays;
+  * the per-channel (or per-l) terms are reduced one at a time with a
+    Neumaier-compensated sum in the canonical order, so the block size does
+    not change a bit of the result.
 
 The reported tail_estimate adds the doubling indicator (a ~30x overestimate
 of the returned value's n-tail error), the l-remainder bound, and a rounding
@@ -55,6 +62,14 @@ _N_CAP = 1 << 16
 # safety factor on the c5-term bound covering the unmodelled N^-5+ mismatch
 # in the l-tail model-error estimate (validated in the test suite)
 _L_RESIDUAL_SAFETY = 1.25
+# l-values the residual bound may sum before it stops: l_count .. l_count + 513
+_L_WINDOW = 514
+
+# kernel values per call of the blocked channel sums: rows = channels, so
+# 2*n_cut columns give max(1, _BLOCK_ELEMENTS // (2*n_cut)) channels a block.
+# On tol-1e-10 shifts twice this is no faster, and four times it is slower
+# and adds about 2 MB of peak RSS.
+_BLOCK_ELEMENTS = 1 << 13
 
 
 class ToleranceUnreachableError(RuntimeError):
@@ -94,25 +109,53 @@ def _as_coupling(g: Coupling | float) -> Coupling:
     return g if isinstance(g, Coupling) else Coupling(float(g))
 
 
-class _Neumaier:
-    """Compensated accumulator; fixed-order adds give bit-stable totals."""
+def _compensated_sum(values) -> float:
+    """Neumaier-compensated total of values, added in the given order.
 
-    __slots__ = ("s", "c")
-
-    def __init__(self) -> None:
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x: float) -> None:
-        t = self.s + x
-        if abs(self.s) >= abs(x):
-            self.c += (self.s - t) + x
+    A fixed order gives bit-stable totals; every channel sum reduces its
+    per-channel terms this way, in the canonical channel order.
+    """
+    s = 0.0
+    c = 0.0
+    for x in np.asarray(values, dtype=float).tolist():
+        t = s + x
+        if abs(s) >= abs(x):
+            c += (s - t) + x
         else:
-            self.c += (x - t) + self.s
-        self.s = t
+            c += (x - t) + s
+        s = t
+    return s + c
 
-    def total(self) -> float:
-        return self.s + self.c
+
+def _channel_arrays(l_start: int, l_stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """l and kb of the channels l_start <= l < l_stop, in the canonical order."""
+    flat = np.fromiter(
+        (x for l in range(l_start, l_stop) for kb in kappa_bars(l) for x in (l, kb)), dtype=float
+    )
+    l, kb = flat.reshape(-1, 2).T
+    return l, kb
+
+
+def _weighted_channel_sums(
+    kernel, gamma: float, l: np.ndarray, kb: np.ndarray, n_terms: int, n_split: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per channel, 2kb * sum of kernel(gamma, n + l, kb) over n <= n_split
+    and over n_split < n <= n_terms.
+
+    Channels go through kernel in blocks of about _BLOCK_ELEMENTS values, one
+    (rows, n_terms) array per call; each row sums like a 1-D np.sum.
+    """
+    n = np.arange(1, n_terms + 1, dtype=float)
+    rows = max(1, _BLOCK_ELEMENTS // n_terms)
+    head = np.empty_like(kb)
+    rest = np.empty_like(kb)
+    for start in range(0, kb.size, rows):
+        block = slice(start, start + rows)
+        vals = kernel(gamma, n + l[block, None], kb[block, None])
+        head[block] = vals[:, :n_split].sum(axis=1)
+        rest[block] = vals[:, n_split:].sum(axis=1)
+    w = 2.0 * kb
+    return w * head, w * rest
 
 
 def direct_channel_sum(gamma: float, l_cut: int, n_cut: int) -> float:
@@ -121,97 +164,87 @@ def direct_channel_sum(gamma: float, l_cut: int, n_cut: int) -> float:
     Exposes the monotone-refinement surface: every term is negative, so the
     partial sum is nonincreasing in both cutoffs.
     """
-    acc = _Neumaier()
-    n = np.arange(1, n_cut + 1, dtype=float)
-    for l in range(l_cut + 1):
-        for kb in kappa_bars(l):
-            vals = difference_over_gamma2_kernel(gamma, n + l, kb)
-            acc.add(2.0 * kb * float(np.sum(vals)))
-    return acc.total()
+    l, kb = _channel_arrays(0, l_cut + 1)
+    sums, _ = _weighted_channel_sums(difference_over_gamma2_kernel, gamma, l, kb, n_cut, n_cut)
+    return _compensated_sum(sums)
 
 
-def _channel_model_tail(gamma: float, kb: float, a: int) -> float:
-    """Closed-form n-tail (weight included): 2kb * sum_{N>=a} model(N)/gamma^2."""
+def _model_tails(gamma: float, l: np.ndarray, kb: np.ndarray, offset: int) -> np.ndarray:
+    """Closed-form n-tails (weight included), one per channel:
+    2kb * sum_{N >= l + offset} model(N)/gamma^2."""
     r3, r4, r5 = tail_coefficients_reduced(gamma, kb)
+    a = l + float(offset)
     return 2.0 * kb * (
-        r3 * hurwitz_zeta(3.0, float(a))
-        + r4 * hurwitz_zeta(4.0, float(a))
-        + r5 * hurwitz_zeta(5.0, float(a))
+        r3 * hurwitz_zeta(3.0, a) + r4 * hurwitz_zeta(4.0, a) + r5 * hurwitz_zeta(5.0, a)
     )
 
 
-def _direct_plus_model(gamma: float, l_count: int, n_cut: int) -> tuple[float, float]:
-    """Totals at n-cutoffs n_cut and 2*n_cut over channels l < l_count.
+def _direct_plus_model(
+    gamma: float, l: np.ndarray, kb: np.ndarray, n_cut: int, tails: np.ndarray | None = None
+) -> tuple[float, float, np.ndarray]:
+    """Totals at n-cutoffs n_cut and 2*n_cut over the given channels.
 
     Both totals include the per-channel closed-form n-tail; their difference
-    is the runtime indicator for the model-tail residual.
+    is the runtime indicator for the model-tail residual.  tails are the
+    model tails at n_cut if known (the previous doubling's tails at its
+    2*n_cut); the tails at 2*n_cut are returned for the next doubling.
     """
-    acc1 = _Neumaier()
-    acc2 = _Neumaier()
-    n = np.arange(1, 2 * n_cut + 1, dtype=float)
-    for l in range(l_count):
-        for kb in kappa_bars(l):
-            w = 2.0 * kb
-            vals = difference_over_gamma2_kernel(gamma, n + l, kb)
-            head = w * float(np.sum(vals[:n_cut]))
-            rest = w * float(np.sum(vals[n_cut:]))
-            t1 = _channel_model_tail(gamma, kb, l + n_cut + 1)
-            t2 = _channel_model_tail(gamma, kb, l + 2 * n_cut + 1)
-            acc1.add(head + t1)
-            acc2.add(head + rest + t2)
-    return acc1.total(), acc2.total()
+    head, rest = _weighted_channel_sums(
+        difference_over_gamma2_kernel, gamma, l, kb, 2 * n_cut, n_cut
+    )
+    if tails is None:
+        tails = _model_tails(gamma, l, kb, n_cut + 1)
+    tails2 = _model_tails(gamma, l, kb, 2 * n_cut + 1)
+    return _compensated_sum(head + tails), _compensated_sum(head + rest + tails2), tails2
 
 
-def _fine_structure_l_term(l: int) -> float:
-    """Complete-n fine-structure channel pair at angular momentum l >= 1.
-
-    sum_j (2j+1) sum_n fs(N)/gamma^4 = -2 zeta(3, l+1) + (3/4)(2l+1) zeta(4, l+1).
-    """
-    return -2.0 * hurwitz_zeta(3.0, l + 1.0) + 0.75 * (2 * l + 1) * hurwitz_zeta(4.0, l + 1.0)
-
-# sum_{l>=1} of _fine_structure_l_term, in closed form via
-# sum_{m,n>=1} (m+n)^-s = zeta(s-1) - zeta(s)
+# sum_{l>=1} of the complete-n fine-structure channel pairs (see
+# _l_tail_closed_form), in closed form via sum_{m,n>=1} (m+n)^-s = zeta(s-1) - zeta(s)
 _FS_FULL_L_SUM = -2.0 * (ZETA_2 - riemann_zeta(3.0)) + 0.75 * (ZETA_2 - ZETA_4)
 
 
 def _l_tail_closed_form(gamma: float, l_count: int) -> float:
-    """Fine-structure-model value of the channels l >= l_count, all n."""
-    acc = _Neumaier()
-    for l in range(1, l_count):
-        acc.add(_fine_structure_l_term(l))
-    return gamma * gamma * (_FS_FULL_L_SUM - acc.total())
+    """Fine-structure-model value of the channels l >= l_count, all n.
+
+    The complete-n channel pair at l >= 1 is
+    sum_j (2j+1) sum_n fs(N)/gamma^4 = -2 zeta(3, l+1) + (3/4)(2l+1) zeta(4, l+1);
+    the pairs l < l_count are subtracted from their closed-form total.
+    """
+    l = np.arange(1.0, l_count)
+    terms = -2.0 * hurwitz_zeta(3.0, l + 1.0) + 0.75 * (2.0 * l + 1.0) * hurwitz_zeta(4.0, l + 1.0)
+    return gamma * gamma * (_FS_FULL_L_SUM - _compensated_sum(terms))
 
 
 def _l_tail_residual_bound(gamma: float, l_count: int) -> float:
-    """Bound on the fine-structure model error over channels l >= l_count.
+    """Bound on the fine-structure model error over channels l >= l_count >= 1.
 
     Per channel and level the model misses exactly gamma^6/(2 kb (kb+s)^2) at
     1/N^3 and 3 gamma^6/(2 (kb+s)^2) at 1/N^4, plus the c5/N^5 term (taken
     with a safety factor); summed over n with Hurwitz zeta and over l with an
-    integral-comparison remainder (terms fall like l^-4).
+    integral-comparison remainder (terms fall like l^-4).  The l-sum runs in
+    order until the term at l falls below 1e-4 of the running total (at least
+    8 steps, at most _L_WINDOW); the window is evaluated as arrays and the
+    running totals are a cumulative sum.
     """
     g2 = gamma * gamma
-    total = 0.0
-    l = l_count
-    while True:
-        term = 0.0
-        for kb in kappa_bars(l):
-            s = math.sqrt((kb - gamma) * (kb + gamma))
-            m3 = g2 * g2 / (2.0 * kb * (kb + s) ** 2)  # gamma^6/... divided by gamma^2
-            m4 = 3.0 * g2 * g2 / (2.0 * (kb + s) ** 2)
-            _, _, r5 = tail_coefficients_reduced(gamma, kb)
-            term += 2.0 * kb * (
-                m3 * hurwitz_zeta(3.0, l + 1.0)
-                + m4 * hurwitz_zeta(4.0, l + 1.0)
-                + _L_RESIDUAL_SAFETY * abs(r5) * hurwitz_zeta(5.0, l + 1.0)
-            )
-        total += term
-        if l >= l_count + 8 and term < 1e-4 * total:
-            break
-        if l > l_count + 512:
-            break
-        l += 1
-    return total + term * l / 3.0  # integral-comparison bound on the rest
+    l, kb = _channel_arrays(l_count, l_count + _L_WINDOW)
+    s = np.sqrt((kb - gamma) * (kb + gamma))
+    sq = np.float_power(kb + s, 2.0)  # the C library's pow, as in zeta: keeps the pinned bits
+    m3 = g2 * g2 / (2.0 * kb * sq)  # gamma^6/... divided by gamma^2
+    m4 = 3.0 * g2 * g2 / (2.0 * sq)
+    _, _, r5 = tail_coefficients_reduced(gamma, kb)
+    a = l + 1.0
+    channel_terms = 2.0 * kb * (
+        m3 * hurwitz_zeta(3.0, a)
+        + m4 * hurwitz_zeta(4.0, a)
+        + _L_RESIDUAL_SAFETY * np.abs(r5) * hurwitz_zeta(5.0, a)
+    )
+    terms = channel_terms[0::2] + channel_terms[1::2]  # the pair (l, l+1) of each l >= 1
+    totals = np.cumsum(terms)
+    step = np.arange(_L_WINDOW)
+    stop = int(np.argmax(((step >= 8) & (terms < 1e-4 * totals)) | (step >= _L_WINDOW - 1)))
+    # integral-comparison bound on the rest
+    return float(totals[stop] + terms[stop] * (l_count + stop) / 3.0)
 
 
 def default_tolerance(gamma: float) -> float:
@@ -249,9 +282,11 @@ def shift(g: Coupling | float, tol: float | None = None) -> ShiftResult:
             )
     l_tail = _l_tail_closed_form(gamma, l_count)
 
+    l, kb = _channel_arrays(0, l_count)
+    tails = None
     n_cut = _N_START
     while True:
-        v1, v2 = _direct_plus_model(gamma, l_count, n_cut)
+        v1, v2, tails = _direct_plus_model(gamma, l, kb, n_cut, tails)
         indicator = abs(v2 - v1)
         floor = 64.0 * np.finfo(float).eps * (1.0 + abs(v2))
         tail_estimate = indicator + l_res + floor
@@ -295,13 +330,11 @@ def schwinger_shift_bruteforce(g: Coupling | float, l_max: int, n_max: int) -> f
     if gamma == 0.0:
         return 0.0
     g2 = gamma * gamma
-    acc = _Neumaier()
-    n = np.arange(1, n_max + 1, dtype=float)
-    for l in range(l_max + 1):
-        for kb in kappa_bars(l):
-            vals = fine_structure_kernel(gamma, n + l, kb) / g2
-            acc.add(2.0 * kb * float(np.sum(vals)))
-    return acc.total()
+    l, kb = _channel_arrays(0, l_max + 1)
+    sums, _ = _weighted_channel_sums(
+        lambda g, p, k: fine_structure_kernel(g, p, k) / g2, gamma, l, kb, n_max, n_max
+    )
+    return _compensated_sum(sums)
 
 
 def zeta_double_sum_identity_check(s: float, m_cap: int = 10_000) -> ZetaIdentityCheck:
@@ -321,9 +354,7 @@ def zeta_double_sum_identity_check(s: float, m_cap: int = 10_000) -> ZetaIdentit
     with np.errstate(under="ignore"):
         terms = (m - 1.0) * m ** (-s)
     # ascending-order compensated total: diagonal terms decrease in M
-    acc = _Neumaier()
-    for t in terms[::-1]:
-        acc.add(float(t))
+    double_sum = _compensated_sum(terms[::-1])
     tail_bound = m_cap ** (2.0 - s) / (s - 2.0)
     closed = riemann_zeta(s - 1.0) - riemann_zeta(s)
-    return ZetaIdentityCheck(acc.total(), tail_bound, closed)
+    return ZetaIdentityCheck(double_sum, tail_bound, closed)

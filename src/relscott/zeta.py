@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 # B_{2r}/(2r)! for r = 1..10
 _EM_COEFFS = tuple(
     float(b / Fraction(math.factorial(2 * r)))
@@ -36,34 +38,46 @@ _EM_COEFFS = tuple(
 )
 
 
-def hurwitz_zeta(s: float, a: float) -> float:
-    """Hurwitz zeta sum_{k>=0} (a+k)^-s for real s > 1, a > 0."""
+def hurwitz_zeta(s: float, a: float | np.ndarray) -> float | np.ndarray:
+    """Hurwitz zeta sum_{k>=0} (a+k)^-s for real s > 1, a > 0.
+
+    a is a float or an ndarray (evaluated elementwise; returns a float or an
+    ndarray).  Powers go through np.float_power, which calls the C library's
+    pow for every element like Python's float **, so an array element carries
+    the same bits as the scalar call (np.power may use SIMD approximations
+    that differ in the last bit).
+    """
     if not s > 1.0:
         raise ValueError(f"hurwitz_zeta requires s > 1, got s={s}")
-    if not a > 0.0:
-        raise ValueError(f"hurwitz_zeta requires a > 0, got a={a}")
+    arg = np.asarray(a, dtype=float)
+    bad = ~(arg > 0.0)
+    if bad.any():
+        culprit = a if arg.ndim == 0 else arg[bad][0]
+        raise ValueError(f"hurwitz_zeta requires a > 0, got a={culprit}")
 
-    t_min = max(12.0, s)
-    m = max(0, int(math.ceil(t_min - a)))
-    head = 0.0
-    comp = 0.0
-    for k in range(m - 1, -1, -1):  # ascending term size; compensated
-        term = (a + k) ** (-s)
-        y = term - comp
+    # head: the m terms that lift a to T = a + m >= max(12, s), masked per
+    # element, ascending term size, compensated
+    m = np.maximum(0.0, np.ceil(max(12.0, s) - arg))
+    head = np.zeros_like(arg)
+    comp = np.zeros_like(arg)
+    for k in range(int(m.max()) - 1, -1, -1):
+        live = k < m
+        y = np.float_power(arg + k, -s) - comp
         t = head + y
-        comp = (t - head) - y
-        head = t
+        comp = np.where(live, (t - head) - y, comp)
+        head = np.where(live, t, head)
 
-    big_t = a + m
-    tail = big_t ** (1.0 - s) / (s - 1.0) + 0.5 * big_t ** (-s)
+    big_t = arg + m
+    tail = np.float_power(big_t, 1.0 - s) / (s - 1.0) + 0.5 * np.float_power(big_t, -s)
     poch = s  # s(s+1)...(s+2r-2), starts at r=1 with single factor s
-    tpow = big_t ** (-s - 1.0)
+    tpow = np.float_power(big_t, -s - 1.0)
     inv_t2 = 1.0 / (big_t * big_t)
     for r, coef in enumerate(_EM_COEFFS, start=1):
         tail += coef * poch * tpow
         poch *= (s + 2.0 * r - 1.0) * (s + 2.0 * r)
         tpow *= inv_t2
-    return head + tail
+    total = head + tail
+    return float(total) if arg.ndim == 0 else total
 
 
 def riemann_zeta(s: float) -> float:

@@ -1,0 +1,81 @@
+"""The array forms the channel sums run on agree bit for bit with scalar and
+per-channel evaluation."""
+
+import numpy as np
+import pytest
+
+from relscott import hurwitz_zeta
+from relscott import scott_shift
+from relscott.hydrogenic import difference_over_gamma2_kernel, fine_structure_kernel
+from relscott.quantum_numbers import kappa_bars
+
+
+def _channels(l_count):
+    return [(l, kb) for l in range(l_count) for kb in kappa_bars(l)]
+
+
+@pytest.mark.parametrize("kernel", [difference_over_gamma2_kernel, fine_structure_kernel])
+@pytest.mark.parametrize("gamma", [0.05, 0.6, 0.9375, 0.9999])
+def test_2d_kernel_equals_row_by_row(kernel, gamma):
+    n = np.arange(1, 301, dtype=float)
+    chans = _channels(40)
+    l = np.array([c[0] for c in chans], dtype=float)
+    kb = np.array([c[1] for c in chans])
+    grid = kernel(gamma, n + l[:, None], kb[:, None])
+    assert grid.shape == (len(chans), n.size)
+    for row, (li, kbi) in zip(grid, chans):
+        assert np.array_equal(row, kernel(gamma, n + li, kbi))
+
+
+@pytest.mark.parametrize("block", [1, 7, 300, 1 << 13])
+def test_blocked_channel_sums_equal_channel_loop(block, monkeypatch):
+    # any block size (rows per kernel call) gives the per-channel loop's bits
+    monkeypatch.setattr(scott_shift, "_BLOCK_ELEMENTS", block)
+    gamma, l_count, n_cut = 0.9, 30, 64
+    n = np.arange(1, 2 * n_cut + 1, dtype=float)
+    heads, rests = [], []
+    for l, kb in _channels(l_count):
+        vals = difference_over_gamma2_kernel(gamma, n + l, kb)
+        heads.append(2.0 * kb * float(np.sum(vals[:n_cut])))
+        rests.append(2.0 * kb * float(np.sum(vals[n_cut:])))
+    l, kb = scott_shift._channel_arrays(0, l_count)
+    head, rest = scott_shift._weighted_channel_sums(
+        difference_over_gamma2_kernel, gamma, l, kb, 2 * n_cut, n_cut
+    )
+    assert head.tolist() == heads
+    assert rest.tolist() == rests
+
+
+def test_channel_arrays_follow_kappa_bars():
+    l, kb = scott_shift._channel_arrays(3, 9)
+    assert list(zip(l.tolist(), kb.tolist())) == _channels(9)[5:]
+
+
+@pytest.mark.parametrize("s", [1.05, 2.0, 3.0, 4.0, 5.0, 6.5, 30.0])
+def test_array_hurwitz_equals_scalar_calls(s):
+    # small a runs the masked head loop for a different number of terms per
+    # element; large a goes straight to the Euler-Maclaurin tail
+    rng = np.random.default_rng(7)
+    a = np.concatenate([
+        rng.uniform(0.1, 40.0, 200),
+        np.arange(1.0, 70.0),
+        rng.uniform(40.0, 1e4, 100),
+        [0.5, 11.999, 12.0, 12.001, 4001.0],
+    ])
+    got = hurwitz_zeta(s, a)
+    want = np.array([hurwitz_zeta(s, float(x)) for x in a])
+    assert isinstance(got, np.ndarray) and got.shape == a.shape
+    assert np.array_equal(got, want)
+
+
+def test_array_hurwitz_keeps_shape():
+    a = np.arange(1.0, 13.0).reshape(3, 4)
+    got = hurwitz_zeta(3.0, a)
+    assert got.shape == (3, 4)
+    assert got[1, 2] == hurwitz_zeta(3.0, 7.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -2.5, float("nan")])
+def test_array_hurwitz_rejects_nonpositive_a(bad):
+    with pytest.raises(ValueError, match=f"hurwitz_zeta requires a > 0, got a={bad}"):
+        hurwitz_zeta(3.0, np.array([1.0, 20.0, bad, 3.0]))

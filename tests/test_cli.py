@@ -276,3 +276,16 @@ def test_energy_validates_alpha_like_compare(alpha, capsys):
     assert energy_err == f"error: alpha must lie in (0, 0.01), got {float(alpha)!r}\n"
     assert main(["compare", "--nist", SAMPLE, "--alpha", alpha]) == 1
     assert capsys.readouterr().err == energy_err
+
+
+@pytest.mark.parametrize("z", ["nan", "inf", "-inf", "0"])
+@pytest.mark.parametrize("gamma", [[], ["--gamma", "0.5"]])
+def test_energy_rejects_z_before_solving(z, gamma, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the TF atom was solved for an invalid Z")
+
+    monkeypatch.setattr("relscott.cli.solve_tf", no_solve)
+    assert main(["energy", f"--Z={z}", *gamma]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: Z must be a positive finite number, got {float(z)}\n"
+    assert captured.out == ""

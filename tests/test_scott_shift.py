@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -209,3 +211,20 @@ def test_shift_against_extended_precision_reference():
     for g, (ref, ref_err) in MP_REFERENCE.items():
         res = shift(g, 1e-8)
         assert abs(res.value - ref) <= res.tail_estimate + ref_err
+
+
+# value, tail_estimate (repr), l_max and n_max of shift() at the 12-step curve
+# gammas (tol 1e-8), the precise-workload lattice gammas (tol 1e-10) and
+# gamma 0.9999, as computed by the per-channel loop that the blocked channel
+# sums replaced; value and cutoffs must not move by a bit
+SHIFT_PINS = json.loads((Path(__file__).parent / "data" / "shift_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pin", SHIFT_PINS, ids=lambda p: f"{p['gamma']!r}-{p['tol']:g}")
+def test_shift_matches_pins(pin):
+    res = shift(pin["gamma"], pin["tol"])
+    assert repr(res.value) == pin["value"]
+    assert (res.l_max, res.n_max) == (pin["l_max"], pin["n_max"])
+    pinned_tail = float(pin["tail_estimate"])
+    assert abs(res.tail_estimate - pinned_tail) <= 4 * math.ulp(pinned_tail)
+    assert res.tail_estimate <= pin["tol"]
