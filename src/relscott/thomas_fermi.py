@@ -18,14 +18,16 @@ exchange-hole radius, and the hole-screened potential.
 
 The neutral-atom solution is a separatrix with a growing perturbation mode
 ~ x^4.77, so plain double-precision shooting cannot carry the profile beyond
-x ~ 50.  solve_tf therefore shoots (bisection on the slope, overshoot = zero
-crossing, undershoot = slope turning positive) to locate the slope, then
-refines globally by collocation for ln(phi) in the v = sqrt(x) variable (the
-log keeps residuals relative across eleven decades of phi) with a slope-free
-Robin condition at the origin and a fitted power-law boundary condition
+x ~ 50.  solve_tf therefore solves it globally by collocation for ln(phi) in
+the v = sqrt(x) variable (the log keeps residuals relative across eleven
+decades of phi), starting from Sommerfeld's closed-form approximation
+phi ~ (1 + (x^3/144)^(sigma/3))^(-3/sigma).  A slope-free Robin condition at
+the origin lets the collocation find the initial slope itself, and a fitted
+power-law boundary condition
 phi ~ (144/x^3)(1 - F x^-sigma + a2 (F x^-sigma)^2), sigma = (sqrt(73)-7)/2,
-at the far end.  The decay law is validated against the computed profile, not
-assumed.
+holds at the far end.  The decay law is validated against the computed
+profile, not assumed.  scipy is imported inside the functions that use it,
+so importing this module stays cheap.
 """
 
 from __future__ import annotations
@@ -36,9 +38,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson, solve_bvp, solve_ivp
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .hydrogenic import EnergyHa
 
@@ -51,7 +50,6 @@ _ASYMP_A2 = 9.0 / (2.0 * ((3.0 + 2.0 * DECAY_SIGMA) * (4.0 + 2.0 * DECAY_SIGMA) 
 
 PROFILE_X0 = 1e-6
 PROFILE_X_FAR = 2000.0
-SHOOT_X_MAX = 100.0
 
 TOL_MIN = 1e-10
 TOL_MAX = 1e-4
@@ -61,7 +59,7 @@ _KINETIC_PREF = 1.2 * 2.0 ** (4.0 / 3.0) / (3.0 * math.pi) ** (2.0 / 3.0)
 
 
 class TfConvergenceError(RuntimeError):
-    """Shooting bracket or collocation refinement failed to converge."""
+    """Collocation from the Sommerfeld starting profile failed to converge."""
 
 
 class InsufficientChargeError(ValueError):
@@ -192,107 +190,42 @@ class TfSolution:
 # solver
 # ---------------------------------------------------------------------------
 
-def _shoot_classify(slope: float, rtol: float) -> int:
-    """-1 overshoot (phi hits 0), +1 undershoot (phi' turns positive), 0 neither."""
-
-    def hit_zero(x, y):
-        return y[0]
-
-    hit_zero.terminal = True
-    hit_zero.direction = -1
-
-    def slope_turn(x, y):
-        return y[1]
-
-    slope_turn.terminal = True
-    slope_turn.direction = 1
-
-    sol = solve_ivp(
-        lambda x, y: [y[1], max(y[0], 0.0) ** 1.5 / math.sqrt(x)],
-        [PROFILE_X0, SHOOT_X_MAX],
-        [float(_series_phi(PROFILE_X0, slope)), float(_series_dphi(PROFILE_X0, slope))],
-        events=[hit_zero, slope_turn],
-        method="DOP853",
-        rtol=rtol,
-        atol=1e-14,
-    )
-    if sol.t_events[0].size:
-        return -1
-    if sol.t_events[1].size:
-        return +1
-    return 0
-
-
-def shoot_initial_slope(bracket: tuple[float, float] = (-2.0, -1.0),
-                        width: float = 1e-10, max_iter: int = 80) -> float:
-    """Bisect the initial slope between overshooting and undershooting runs."""
-    lo, hi = bracket
-    if _shoot_classify(lo, 1e-10) != -1 or _shoot_classify(hi, 1e-10) != +1:
-        raise TfConvergenceError(f"shooting bracket {bracket} does not straddle the separatrix")
-    it = 0
-    while hi - lo > width:
-        it += 1
-        if it > max_iter:
-            raise TfConvergenceError(f"shooting bisection exceeded {max_iter} iterations")
-        mid = 0.5 * (lo + hi)
-        c = _shoot_classify(mid, 1e-10)
-        if c == -1:
-            lo = mid
-        elif c == +1:
-            hi = mid
-        else:  # neither event inside the window: numerically on the separatrix
-            return mid
-    return 0.5 * (lo + hi)
-
-
-def _collocation_refine(slope_seed: float, bvp_tol: float, x_far: float):
+def _collocation_refine(bvp_tol: float, x_far: float):
     """Global collocation for psi = ln(phi) in the v = sqrt(x) variable.
 
     The log variable keeps the residual scale relative across eleven decades
     of phi (and makes positivity automatic):
 
         psi'' = psi'/v - psi'^2 + 4 v exp(psi/2).
+
+    The initial mesh carries Sommerfeld's closed-form approximation
+    phi ~ (1 + (x^3/144)^(sigma/3))^(-3/sigma), which has the right value at
+    the origin and the right 144/x^3 decay, so no slope is needed up front.
     """
+    from scipy.integrate import solve_bvp
+
     v0 = math.sqrt(PROFILE_X0)
     v_far = math.sqrt(x_far)
-
-    guess = solve_ivp(
-        lambda x, y: [y[1], max(y[0], 0.0) ** 1.5 / math.sqrt(x)],
-        [PROFILE_X0, 40.0],
-        [float(_series_phi(PROFILE_X0, slope_seed)), float(_series_dphi(PROFILE_X0, slope_seed))],
-        method="DOP853",
-        rtol=1e-11,
-        atol=1e-14,
-        dense_output=True,
-    )
+    x_end = v_far * v_far
 
     def rhs(v, y, p):
         return np.vstack([y[1], y[1] / v - y[1] * y[1] + 4.0 * v * np.exp(0.5 * y[0])])
 
     def bc(ya, yb, p):
-        coeff = p[0]
-        x_end = v_far * v_far
-        t = coeff * x_end ** (-DECAY_SIGMA)
-        u = 1.0 - t + _ASYMP_A2 * t * t
-        du = DECAY_SIGMA * t - 2.0 * DECAY_SIGMA * _ASYMP_A2 * t * t  # d u / d ln x
+        phi_end = _asymptote_phi(x_end, p[0])
         return np.array(
             [
                 # slope-free Robin condition: phi - x phi' = 1 - (2/3) x^{3/2}
                 math.exp(ya[0]) * (1.0 - 0.5 * v0 * ya[1]) - (1.0 - (2.0 / 3.0) * v0**3),
-                yb[0] - math.log(144.0 / x_end**3 * u),
+                yb[0] - np.log(phi_end),
                 # x phi'/phi = d ln phi / d ln x matched to the power law
-                0.5 * v_far * yb[1] - (-3.0 * u + du) / u,
+                0.5 * v_far * yb[1] - x_end * _asymptote_dphi(x_end, p[0]) / phi_end,
             ]
         )
 
     v_mesh = np.geomspace(v0, v_far, 4001 if x_far <= 3000.0 else 6001)
     x_mesh = v_mesh * v_mesh
-    phi_g = np.empty_like(x_mesh)
-    inner = x_mesh <= 30.0
-    phi_g[inner] = np.maximum(guess.sol(x_mesh[inner])[0], 1e-12)
-    xo = x_mesh[~inner]
-    t0 = 13.27 * xo ** (-DECAY_SIGMA)
-    phi_g[~inner] = 144.0 / xo**3 * np.maximum(1.0 - t0 + _ASYMP_A2 * t0 * t0, 0.02)
+    phi_g = (1.0 + (x_mesh**3 / 144.0) ** (DECAY_SIGMA / 3.0)) ** (-3.0 / DECAY_SIGMA)
     psi_g = np.log(phi_g)
     y_guess = np.vstack([psi_g, np.gradient(psi_g, v_mesh)])
 
@@ -313,12 +246,13 @@ def solve_tf(tol: float = 1e-8) -> TfSolution:
     tol = float(tol)
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
+    from scipy.integrate import cumulative_simpson, simpson
+    from scipy.interpolate import PchipInterpolator
 
-    slope_seed = shoot_initial_slope()
     bvp_tol = min(1e-7, max(1e-11, 0.01 * tol))
     # far enough that phi(x_end) ~ 144/x^3 sits below 10*tol
     x_far = max(PROFILE_X_FAR, (144.0 / (5.0 * tol)) ** (1.0 / 3.0))
-    sol = _collocation_refine(slope_seed, bvp_tol, x_far)
+    sol = _collocation_refine(bvp_tol, x_far)
 
     v_nodes = sol.x
     x_nodes = v_nodes * v_nodes
@@ -502,6 +436,8 @@ def exchange_hole_radius(Z: float, sol: TfSolution, r: float) -> float:
     Computed by bisection on the spherically averaged enclosed-charge
     integral; satisfies the scaling R_Z(r) = Z^{-1/3} R_1(Z^{1/3} r).
     """
+    from scipy.optimize import brentq
+
     _require_positive(Z=Z, r=r)
     if Z < 0.5:
         raise InsufficientChargeError(

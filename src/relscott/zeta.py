@@ -5,7 +5,7 @@ zeta(s, a) = sum_{k=0}^{M-1} (a+k)^-s
            + sum_{r=1}^{R} B_{2r}/(2r)! * s(s+1)...(s+2r-2) * T^(-s-2r+1)
 
 with T = a + M.  For real s > 1 the truncation error is bounded by the first
-omitted correction term; with T >= max(12, s) and R = 9 that term is far below
+omitted correction term; with T >= max(12, s) and R = 10 that term is far below
 1e-16 for every s used here, so results are accurate to double rounding
 (absolute error well under 1e-14).
 """

@@ -103,6 +103,23 @@ def test_tf_default_run():
     assert abs(slope - (-1.5881)) < 1e-3
 
 
+def test_import_does_not_load_scipy():
+    # scipy is imported inside the Thomas-Fermi functions, so commands that
+    # never solve the TF atom (shift, curve) do not pay for it
+    res = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, relscott, relscott.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
 def test_tf_rejects_out_of_range_tol():
     res = run_cli("tf", "--tol", "1e-3")
     assert res.returncode != 0
@@ -225,13 +242,15 @@ def test_compare_header_only_table(tmp_path):
     assert _compare_out(tmp_path, empty, "--json") == "[]\n"
 
 
-# The goldens were written by the CLI (`--out`) and pin its output byte for
-# byte across changes; regenerate them only for an intended output change.
+# The goldens were written by the CLI (to --out or stdout, which get the same
+# bytes) and pin its output byte for byte across changes; regenerate them
+# only for an intended output change.
 @pytest.mark.parametrize(
     "golden, argv",
     [
         ("curve_0_0.99_12.csv", ["curve", "--gamma-min", "0", "--gamma-max", "0.99", "--steps", "12"]),
         ("compare_sample_nist.csv", ["compare", "--nist", SAMPLE]),
+        ("tf_default.csv", ["tf"]),
     ],
 )
 def test_pinned_output_matches_golden(golden, argv, tmp_path):

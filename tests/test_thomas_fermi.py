@@ -17,8 +17,9 @@ from relscott.thomas_fermi import (
     TF_LENGTH_B,
     _charge_quadrature,
     _enclosed_charge,
-    shoot_initial_slope,
 )
+
+from _oracles import shoot_classify
 
 BAKER_SLOPE = -1.5880710226113753  # literature value of phi'(0)
 
@@ -32,10 +33,11 @@ def test_initial_slope(tf_solution):
     assert tf_solution.initial_slope == pytest.approx(BAKER_SLOPE, abs=1e-8)
 
 
-def test_shooting_alone_brackets_the_slope():
-    # the bisection stage by itself localizes the slope
-    slope = shoot_initial_slope(width=1e-8)
-    assert slope == pytest.approx(BAKER_SLOPE, abs=1e-7)
+def test_shooting_brackets_the_collocation_slope(tf_solution):
+    # an independent method: shooting 1e-8 below the solver's slope
+    # overshoots (phi hits zero), 1e-8 above it undershoots (phi' turns up)
+    assert shoot_classify(tf_solution.initial_slope - 1e-8) == -1
+    assert shoot_classify(tf_solution.initial_slope + 1e-8) == +1
 
 
 def test_profile_shape(tf_solution):
