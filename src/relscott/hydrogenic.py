@@ -119,8 +119,8 @@ def tail_coefficients_reduced(gamma: float, kappa_bar):
         r5 = 4 delta^2 s - gamma^2 delta / 2,
 
     and the O(N^-6) residual uniformly ~1/N^6 in gamma < 1 (checked against a
-    50-digit reference).  Used for closed-form series tails via Hurwitz zeta;
-    kappa_bar may be an array of channels.
+    50-digit reference).  The l-tail bound of scott_shift uses r5; kappa_bar
+    may be an array of channels.
     """
     g2 = gamma * gamma
     s = np.sqrt((kappa_bar - gamma) * (kappa_bar + gamma))

@@ -58,8 +58,7 @@ class LevelIndex:
 def kappa_bars(l: int) -> tuple[float, ...]:
     """kb = j + 1/2 of the channels of orbital angular momentum l, in increasing j.
 
-    (1.0,) for l = 0, (l, l + 1) otherwise.  Plain floats and no validation:
-    the channel sums of scott_shift call this thousands of times per shift.
+    (1.0,) for l = 0, (l, l + 1) otherwise.  Plain floats and no validation.
     """
     return (1.0,) if l == 0 else (float(l), float(l + 1))
 
@@ -82,9 +81,8 @@ def dirac_degeneracy(channel: ChannelIndex) -> int:
 def iter_channels(l_max: int) -> Iterator[ChannelIndex]:
     """All channels with l <= l_max, in (increasing l, increasing j) order.
 
-    This ordering is the canonical reduction order for every channel sum in
-    the package (scott_shift loops over l and kappa_bars(l) in the same
-    order); deterministic results rely on it.
+    This ordering is the canonical channel order of every channel sum in the
+    package (scott_shift._channel_arrays builds its arrays in the same order).
     """
     for l in range(l_max + 1):
         yield from channels_for_l(l)

@@ -5,27 +5,21 @@ sum_n (lambda_D - lambda_S).  Every summand is strictly negative, so s < 0 on
 (0, 1); s(0) = 0; the Scott coefficient is q = 1/2 + s(gamma).
 
 Evaluation strategy (all pieces deterministic):
-  * channels are taken in the canonical order of quantum_numbers.iter_channels
-    (increasing l, then kappa_bars(l)) and evaluated a block at a time: one
-    2-D call of the cancellation-free combined-difference kernel per block
-    (one row per channel, its levels n <= N along the row, about
-    _BLOCK_ELEMENTS values per block), whose row sums are the channels'
-    direct sums over l < L, n <= N;
-  * per-channel n-tails summed in closed form with Hurwitz zeta (over the
-    array of channels) at the exact 1/N^3..1/N^5 expansion coefficients of
-    the channel (residual ~ N^-6, certified at runtime by a cutoff-doubling
-    indicator); the tails at 2N are reused as the next doubling's tails at N;
+  * channels l < L in the canonical order of quantum_numbers.iter_channels,
+    a block of about _BLOCK_ELEMENTS values per array at a time;
+  * levels n < _N_SERIES of each channel: row sums of the cancellation-free
+    combined-difference kernel;
+  * levels n >= _N_SERIES: sum_{k>=3} c_k zeta(k, l + _N_SERIES), the Taylor
+    series of f(u) = (lambda_D - lambda_S)/gamma^2 in u = 1/N, cut at the
+    smallest order whose proven remainder (|c_k| <= 0.12 4^k) fits tol;
   * the l >= L remainder in the fine-structure model, summed exactly via the
     double-sum zeta identity, with a computed bound on the model error (the
     exact coefficient mismatches are gamma^6/(2 kb (kb+s)^2) at 1/N^3 and
-    3 gamma^6/(2 (kb+s)^2) at 1/N^4), its l-window evaluated as arrays;
-  * the per-channel (or per-l) terms are reduced one at a time with a
-    Neumaier-compensated sum in the canonical order, so the block size does
-    not change a bit of the result.
+    3 gamma^6/(2 (kb+s)^2) at 1/N^4);
+  * totals by math.fsum, correctly rounded: no order or block size changes a bit.
 
-The reported tail_estimate adds the doubling indicator (a ~30x overestimate
-of the returned value's n-tail error), the l-remainder bound, and a rounding
-floor; the acceptance suite certifies |true - returned| <= tail_estimate.
+tail_estimate adds the series remainder bound, the l-remainder bound and a
+rounding floor; the acceptance suite certifies |true - returned| <= tail_estimate.
 """
 
 from __future__ import annotations
@@ -43,7 +37,6 @@ from .hydrogenic import (
     fine_structure_kernel,
     tail_coefficients_reduced,
 )
-from .quantum_numbers import kappa_bars
 from .zeta import ZETA_2, ZETA_4, hurwitz_zeta, riemann_zeta
 
 # (zeta(3) - 5 pi^2/24): coefficient of gamma^2 in Schwinger's closed form
@@ -56,8 +49,10 @@ DEFAULT_TOL_NEAR_ONE = 1e-6  # gamma > 0.9: the j=1/2 channels converge slower
 
 _L_START = 8
 _L_CAP = 8192
-_N_START = 64
-_N_CAP = 1 << 16
+# levels n < _N_SERIES are summed directly, the rest by the Taylor series in 1/N
+_N_SERIES = 32
+# |f| <= _F_MAX on |u| = 1/4 (see _taylor_coefficients), so |c_k| <= _F_MAX 4^k
+_F_MAX = 0.12
 
 # safety factor on the c5-term bound covering the unmodelled N^-5+ mismatch
 # in the l-tail model-error estimate (validated in the test suite)
@@ -65,10 +60,8 @@ _L_RESIDUAL_SAFETY = 1.25
 # l-values the residual bound may sum before it stops: l_count .. l_count + 513
 _L_WINDOW = 514
 
-# kernel values per call of the blocked channel sums: rows = channels, so
-# 2*n_cut columns give max(1, _BLOCK_ELEMENTS // (2*n_cut)) channels a block.
-# On tol-1e-10 shifts twice this is no faster, and four times it is slower
-# and adds about 2 MB of peak RSS.
+# values per array of the blocked channel sums: rows = channels, so n columns
+# (levels, or series orders) give max(1, _BLOCK_ELEMENTS // n) channels a block
 _BLOCK_ELEMENTS = 1 << 13
 
 
@@ -83,8 +76,8 @@ class ShiftResult:
     gamma: Coupling
     value: float
     tail_estimate: float
-    l_max: int
-    n_max: int
+    l_max: int  # channels l <= l_max are summed; l > l_max by the l-tail model
+    n_max: int  # levels n <= n_max are summed directly; n > n_max by the series
     target_tol: float
 
 
@@ -109,53 +102,90 @@ def _as_coupling(g: Coupling | float) -> Coupling:
     return g if isinstance(g, Coupling) else Coupling(float(g))
 
 
-def _compensated_sum(values) -> float:
-    """Neumaier-compensated total of values, added in the given order.
-
-    A fixed order gives bit-stable totals; every channel sum reduces its
-    per-channel terms this way, in the canonical channel order.
-    """
-    s = 0.0
-    c = 0.0
-    for x in np.asarray(values, dtype=float).tolist():
-        t = s + x
-        if abs(s) >= abs(x):
-            c += (s - t) + x
-        else:
-            c += (x - t) + s
-        s = t
-    return s + c
-
-
 def _channel_arrays(l_start: int, l_stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """l and kb of the channels l_start <= l < l_stop, in the canonical order."""
-    flat = np.fromiter(
-        (x for l in range(l_start, l_stop) for kb in kappa_bars(l) for x in (l, kb)), dtype=float
-    )
-    l, kb = flat.reshape(-1, 2).T
+    """l and kb of the channels l_start <= l < l_stop, in the canonical order:
+    kb = 1 for l = 0, and kb = l, l + 1 for l >= 1."""
+    ls = np.arange(l_start, l_stop, dtype=float)
+    l = np.repeat(ls, np.where(ls > 0.0, 2, 1))
+    kb = l + 1.0
+    kb[(1 if l_start == 0 else 0)::2] -= 1.0  # the first channel of each pair
     return l, kb
 
 
-def _weighted_channel_sums(
-    kernel, gamma: float, l: np.ndarray, kb: np.ndarray, n_terms: int, n_split: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per channel, 2kb * sum of kernel(gamma, n + l, kb) over n <= n_split
-    and over n_split < n <= n_terms.
+def _weighted_channel_sums(kernel, gamma: float, l: np.ndarray, kb: np.ndarray, n_terms: int):
+    """Per channel, 2kb * sum of kernel(gamma, n + l, kb) over n <= n_terms.
 
     Channels go through kernel in blocks of about _BLOCK_ELEMENTS values, one
     (rows, n_terms) array per call; each row sums like a 1-D np.sum.
     """
     n = np.arange(1, n_terms + 1, dtype=float)
     rows = max(1, _BLOCK_ELEMENTS // n_terms)
-    head = np.empty_like(kb)
-    rest = np.empty_like(kb)
+    sums = np.empty_like(kb)
     for start in range(0, kb.size, rows):
         block = slice(start, start + rows)
-        vals = kernel(gamma, n + l[block, None], kb[block, None])
-        head[block] = vals[:, :n_split].sum(axis=1)
-        rest[block] = vals[:, n_split:].sum(axis=1)
-    w = 2.0 * kb
-    return w * head, w * rest
+        sums[block] = kernel(gamma, n + l[block, None], kb[block, None]).sum(axis=1)
+    return 2.0 * kb * sums
+
+
+def _taylor_coefficients(gamma: float, kb: np.ndarray, order: int) -> list[np.ndarray]:
+    """c_3..c_order of f(u) = (lambda_D - lambda_S)/gamma^2 = sum_k c_k u^k,
+    u = 1/N, one array entry per channel kb.  f = h + u^2/2 with
+    1 + gamma^2 h = sqrt(1 - x), x = gamma^2 z, z = u^2/D and
+    D = 1 - 2 delta u + 2 kb delta u^2, so
+        1/D = sum i_k u^k,  i_0 = 1, i_1 = 2 delta,
+                            i_k = 2 delta i_{k-1} - 2 kb delta i_{k-2},
+        h_k = -i_{k-2}/2 - (gamma^2/2) sum_{i=2}^{k-2} h_i h_{k-i},
+    h_2 = -1/2 is cancelled by u^2/2, and c_k = h_k for k >= 3 (c_3..c_5 are
+    hydrogenic.tail_coefficients_reduced).  The bound: delta <= 1 and
+    kb delta <= gamma^2 <= 1 give |D| >= 3/8 and |x| <= 1/6 on |u| = 1/4,
+    so f = -(u^2/2)(1 - D)/D + (sqrt(1 - x) - 1 + x/2)/gamma^2 has
+    |f| <= 5/96 + 1/240 < _F_MAX there.
+    """
+    g2 = gamma * gamma
+    delta = g2 / (kb + np.sqrt((kb - gamma) * (kb + gamma)))
+    inv_d = [np.ones_like(kb), 2.0 * delta]
+    for _ in range(2, order - 1):
+        inv_d.append(2.0 * delta * inv_d[-1] - 2.0 * kb * delta * inv_d[-2])
+    h = [None, None, np.full_like(kb, -0.5)]
+    for k in range(3, order + 1):
+        conv = sum(h[i] * h[k - i] for i in range(2, k - 1))
+        h.append(-0.5 * inv_d[k - 2] - 0.5 * g2 * conv)
+    return h[3:]
+
+
+def _series_sums(gamma: float, l: np.ndarray, kb: np.ndarray, order: int) -> np.ndarray:
+    """Per channel, 2kb * sum_{k=3..order} c_k zeta(k, l + _N_SERIES): the
+    levels n >= _N_SERIES, in blocks of about _BLOCK_ELEMENTS zeta values."""
+    k = np.arange(3.0, order + 1.0)[:, None]
+    rows = max(1, _BLOCK_ELEMENTS // k.size)
+    sums = np.empty_like(kb)
+    for start in range(0, kb.size, rows):
+        block = slice(start, start + rows)
+        ls, of_channel = np.unique(l[block], return_inverse=True)  # shared by an l's pair
+        zetas = hurwitz_zeta(k, ls + _N_SERIES)[:, of_channel]
+        coeffs = _taylor_coefficients(gamma, kb[block], order)
+        # smallest terms first
+        sums[block] = sum(c * z for c, z in zip(coeffs[::-1], zetas[::-1]))
+    return 2.0 * kb * sums
+
+
+def _series_order(kb: np.ndarray, a: np.ndarray, budget: float) -> tuple[int, float]:
+    """Smallest order K >= 3 whose series remainder bound fits budget, and the bound.
+
+    Per channel, |sum_{k>K} c_k zeta(k, a)| <= _F_MAX sum_{k>K} 4^k zeta(k, a),
+    and zeta(k, a) <= a^-k + a^(1-k)/(k-1) gives, with q = 4/a <= 1/8,
+    at most _F_MAX q^(K+1) (1 + a/K) / (1 - q); summed with weight 2kb.
+    """
+    q = 4.0 / a
+    weight = 2.0 * _F_MAX * kb / (1.0 - q)
+    order = 3
+    q_pow = (q * q) * (q * q)
+    while True:
+        bound = float(np.sum(weight * q_pow * (1.0 + a / order)))
+        if bound <= budget:
+            return order, bound
+        order += 1
+        q_pow = q_pow * q
 
 
 def direct_channel_sum(gamma: float, l_cut: int, n_cut: int) -> float:
@@ -165,37 +195,8 @@ def direct_channel_sum(gamma: float, l_cut: int, n_cut: int) -> float:
     partial sum is nonincreasing in both cutoffs.
     """
     l, kb = _channel_arrays(0, l_cut + 1)
-    sums, _ = _weighted_channel_sums(difference_over_gamma2_kernel, gamma, l, kb, n_cut, n_cut)
-    return _compensated_sum(sums)
-
-
-def _model_tails(gamma: float, l: np.ndarray, kb: np.ndarray, offset: int) -> np.ndarray:
-    """Closed-form n-tails (weight included), one per channel:
-    2kb * sum_{N >= l + offset} model(N)/gamma^2."""
-    r3, r4, r5 = tail_coefficients_reduced(gamma, kb)
-    a = l + float(offset)
-    return 2.0 * kb * (
-        r3 * hurwitz_zeta(3.0, a) + r4 * hurwitz_zeta(4.0, a) + r5 * hurwitz_zeta(5.0, a)
-    )
-
-
-def _direct_plus_model(
-    gamma: float, l: np.ndarray, kb: np.ndarray, n_cut: int, tails: np.ndarray | None = None
-) -> tuple[float, float, np.ndarray]:
-    """Totals at n-cutoffs n_cut and 2*n_cut over the given channels.
-
-    Both totals include the per-channel closed-form n-tail; their difference
-    is the runtime indicator for the model-tail residual.  tails are the
-    model tails at n_cut if known (the previous doubling's tails at its
-    2*n_cut); the tails at 2*n_cut are returned for the next doubling.
-    """
-    head, rest = _weighted_channel_sums(
-        difference_over_gamma2_kernel, gamma, l, kb, 2 * n_cut, n_cut
-    )
-    if tails is None:
-        tails = _model_tails(gamma, l, kb, n_cut + 1)
-    tails2 = _model_tails(gamma, l, kb, 2 * n_cut + 1)
-    return _compensated_sum(head + tails), _compensated_sum(head + rest + tails2), tails2
+    sums = _weighted_channel_sums(difference_over_gamma2_kernel, gamma, l, kb, n_cut)
+    return math.fsum(sums.tolist())
 
 
 # sum_{l>=1} of the complete-n fine-structure channel pairs (see
@@ -212,7 +213,7 @@ def _l_tail_closed_form(gamma: float, l_count: int) -> float:
     """
     l = np.arange(1.0, l_count)
     terms = -2.0 * hurwitz_zeta(3.0, l + 1.0) + 0.75 * (2.0 * l + 1.0) * hurwitz_zeta(4.0, l + 1.0)
-    return gamma * gamma * (_FS_FULL_L_SUM - _compensated_sum(terms))
+    return gamma * gamma * (_FS_FULL_L_SUM - math.fsum(terms.tolist()))
 
 
 def _l_tail_residual_bound(gamma: float, l_count: int) -> float:
@@ -255,9 +256,11 @@ def default_tolerance(gamma: float) -> float:
 def shift(g: Coupling | float, tol: float | None = None) -> ShiftResult:
     """Spectral shift s(gamma) with |true - returned| <= tail_estimate <= tol.
 
-    Raises ToleranceUnreachableError if the residual bound cannot be driven
-    below tol within the configured resource caps, ValueError on domain
-    violations (gamma outside [0,1), tol outside [1e-10, 1e-2]).
+    Below gamma of about 1e-154, gamma^2 underflows and the value is
+    subnormal (or 0); tail_estimate, at least the rounding floor, still
+    bounds the error.  Raises ToleranceUnreachableError if the l-residual
+    bound cannot be driven below tol within the channel cap, ValueError on
+    domain violations (gamma outside [0,1), tol outside [1e-10, 1e-2]).
     """
     coupling = _as_coupling(g)
     gamma = coupling.gamma
@@ -283,23 +286,13 @@ def shift(g: Coupling | float, tol: float | None = None) -> ShiftResult:
     l_tail = _l_tail_closed_form(gamma, l_count)
 
     l, kb = _channel_arrays(0, l_count)
-    tails = None
-    n_cut = _N_START
-    while True:
-        v1, v2, tails = _direct_plus_model(gamma, l, kb, n_cut, tails)
-        indicator = abs(v2 - v1)
-        floor = 64.0 * np.finfo(float).eps * (1.0 + abs(v2))
-        tail_estimate = indicator + l_res + floor
-        if tail_estimate <= tol:
-            return ShiftResult(
-                coupling, v2 + l_tail, tail_estimate, l_count - 1, 2 * n_cut, tol
-            )
-        n_cut *= 2
-        if n_cut > _N_CAP:
-            raise ToleranceUnreachableError(
-                f"n-tail indicator {indicator:.3e} keeps tail estimate above "
-                f"tol={tol} at the cap n_cut={_N_CAP} (gamma={gamma})"
-            )
+    order, series_res = _series_order(kb, l + _N_SERIES, 0.9 * tol - l_res)
+    direct = _weighted_channel_sums(difference_over_gamma2_kernel, gamma, l, kb, _N_SERIES - 1)
+    series = _series_sums(gamma, l, kb, order)
+    value = math.fsum((direct + series).tolist())
+    floor = 64.0 * np.finfo(float).eps * (1.0 + abs(value))  # rounding
+    tail_estimate = series_res + l_res + floor
+    return ShiftResult(coupling, value + l_tail, tail_estimate, l_count - 1, _N_SERIES - 1, tol)
 
 
 def scott_coefficient(g: Coupling | float, tol: float | None = None) -> ScottCoefficient:
@@ -331,10 +324,10 @@ def schwinger_shift_bruteforce(g: Coupling | float, l_max: int, n_max: int) -> f
         return 0.0
     g2 = gamma * gamma
     l, kb = _channel_arrays(0, l_max + 1)
-    sums, _ = _weighted_channel_sums(
-        lambda g, p, k: fine_structure_kernel(g, p, k) / g2, gamma, l, kb, n_max, n_max
+    sums = _weighted_channel_sums(
+        lambda g, p, k: fine_structure_kernel(g, p, k) / g2, gamma, l, kb, n_max
     )
-    return _compensated_sum(sums)
+    return math.fsum(sums.tolist())
 
 
 def zeta_double_sum_identity_check(s: float, m_cap: int = 10_000) -> ZetaIdentityCheck:
@@ -353,8 +346,7 @@ def zeta_double_sum_identity_check(s: float, m_cap: int = 10_000) -> ZetaIdentit
     m = np.arange(2, m_cap + 1, dtype=float)
     with np.errstate(under="ignore"):
         terms = (m - 1.0) * m ** (-s)
-    # ascending-order compensated total: diagonal terms decrease in M
-    double_sum = _compensated_sum(terms[::-1])
+    double_sum = math.fsum(terms.tolist())
     tail_bound = m_cap ** (2.0 - s) / (s - 2.0)
     closed = riemann_zeta(s - 1.0) - riemann_zeta(s)
     return ZetaIdentityCheck(double_sum, tail_bound, closed)

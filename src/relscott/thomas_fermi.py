@@ -286,7 +286,12 @@ def solve_tf(tol: float = 1e-8) -> TfSolution:
     o_rev = cumulative_simpson((2.0 * phid**1.5)[::-1], x=-vd[::-1], initial=0.0)[::-1]
     o_dense = o_rev + tail_a
 
-    repulsion = simpson(dq * (q_dense / xd + o_dense), x=vd) / (2.0 * TF_LENGTH_B)
+    # D = (1/2b) int dq (q/x + o): below x0, dq = sqrt(x) dx, q/x = (2/3) sqrt(x)
+    # and o = o(x0) + 2 (sqrt(x0) - sqrt(x)); past x_far, q -> 1 turns dq q/x
+    # into the I_A tail, and dq o is O(x^-7) smaller
+    head_r = (2.0 / 3.0) * v0**3 * (o_dense[0] + v0)
+    i_rep = simpson(dq * (q_dense / xd + o_dense), x=vd) + head_r + tail_a
+    repulsion = i_rep / (2.0 * TF_LENGTH_B)
     attraction = -i_attr / TF_LENGTH_B
     kinetic = _KINETIC_PREF * i_kin
     e_tf_1 = kinetic + attraction + repulsion

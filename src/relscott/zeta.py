@@ -38,46 +38,49 @@ _EM_COEFFS = tuple(
 )
 
 
-def hurwitz_zeta(s: float, a: float | np.ndarray) -> float | np.ndarray:
+def hurwitz_zeta(s: float | np.ndarray, a: float | np.ndarray) -> float | np.ndarray:
     """Hurwitz zeta sum_{k>=0} (a+k)^-s for real s > 1, a > 0.
 
-    a is a float or an ndarray (evaluated elementwise; returns a float or an
+    s and a are floats or ndarrays that broadcast against each other
+    (evaluated elementwise; returns a float if both are scalars, else an
     ndarray).  Powers go through np.float_power, which calls the C library's
     pow for every element like Python's float **, so an array element carries
     the same bits as the scalar call (np.power may use SIMD approximations
     that differ in the last bit).
     """
-    if not s > 1.0:
-        raise ValueError(f"hurwitz_zeta requires s > 1, got s={s}")
-    arg = np.asarray(a, dtype=float)
-    bad = ~(arg > 0.0)
-    if bad.any():
-        culprit = a if arg.ndim == 0 else arg[bad][0]
-        raise ValueError(f"hurwitz_zeta requires a > 0, got a={culprit}")
+    order, arg = np.asarray(s, dtype=float), np.asarray(a, dtype=float)
+    for name, given, values, low in (("s", s, order, 1), ("a", a, arg, 0)):
+        bad = ~(values > low)
+        if bad.any():
+            culprit = given if values.ndim == 0 else values[bad][0]
+            raise ValueError(f"hurwitz_zeta requires {name} > {low}, got {name}={culprit}")
 
-    # head: the m terms that lift a to T = a + m >= max(12, s), masked per
-    # element, ascending term size, compensated
-    m = np.maximum(0.0, np.ceil(max(12.0, s) - arg))
-    head = np.zeros_like(arg)
-    comp = np.zeros_like(arg)
-    for k in range(int(m.max()) - 1, -1, -1):
-        live = k < m
-        y = np.float_power(arg + k, -s) - comp
-        t = head + y
-        comp = np.where(live, (t - head) - y, comp)
-        head = np.where(live, t, head)
+    # head: the m terms that lift a to T = a + m >= max(12, s), taken only
+    # where m > 0, masked per element, ascending term size, compensated
+    m = np.maximum(0.0, np.ceil(np.maximum(12.0, order) - arg))
+    short = m > 0.0
+    a_h, s_h, m_h = (np.broadcast_to(v, m.shape)[short] for v in (arg, order, m))
+    part = comp = np.zeros(m_h.shape)
+    for k in range(int(m_h.max(initial=0.0)) - 1, -1, -1):
+        live = k < m_h
+        y = np.float_power(a_h + k, -s_h) - comp
+        t = part + y
+        comp = np.where(live, (t - part) - y, comp)
+        part = np.where(live, t, part)
+    head = np.zeros(m.shape)
+    head[short] = part
 
     big_t = arg + m
-    tail = np.float_power(big_t, 1.0 - s) / (s - 1.0) + 0.5 * np.float_power(big_t, -s)
-    poch = s  # s(s+1)...(s+2r-2), starts at r=1 with single factor s
-    tpow = np.float_power(big_t, -s - 1.0)
+    tail = np.float_power(big_t, 1.0 - order) / (order - 1.0) + 0.5 * np.float_power(big_t, -order)
+    poch = order  # s(s+1)...(s+2r-2), starts at r=1 with single factor s
+    tpow = np.float_power(big_t, -order - 1.0)
     inv_t2 = 1.0 / (big_t * big_t)
     for r, coef in enumerate(_EM_COEFFS, start=1):
         tail += coef * poch * tpow
-        poch *= (s + 2.0 * r - 1.0) * (s + 2.0 * r)
+        poch = poch * ((order + 2.0 * r - 1.0) * (order + 2.0 * r))
         tpow *= inv_t2
     total = head + tail
-    return float(total) if arg.ndim == 0 else total
+    return float(total) if total.ndim == 0 else total
 
 
 def riemann_zeta(s: float) -> float:

@@ -32,23 +32,41 @@ def test_blocked_channel_sums_equal_channel_loop(block, monkeypatch):
     # any block size (rows per kernel call) gives the per-channel loop's bits
     monkeypatch.setattr(scott_shift, "_BLOCK_ELEMENTS", block)
     gamma, l_count, n_cut = 0.9, 30, 64
-    n = np.arange(1, 2 * n_cut + 1, dtype=float)
-    heads, rests = [], []
-    for l, kb in _channels(l_count):
-        vals = difference_over_gamma2_kernel(gamma, n + l, kb)
-        heads.append(2.0 * kb * float(np.sum(vals[:n_cut])))
-        rests.append(2.0 * kb * float(np.sum(vals[n_cut:])))
+    n = np.arange(1, n_cut + 1, dtype=float)
+    want = [
+        2.0 * kb * float(np.sum(difference_over_gamma2_kernel(gamma, n + l, kb)))
+        for l, kb in _channels(l_count)
+    ]
     l, kb = scott_shift._channel_arrays(0, l_count)
-    head, rest = scott_shift._weighted_channel_sums(
-        difference_over_gamma2_kernel, gamma, l, kb, 2 * n_cut, n_cut
-    )
-    assert head.tolist() == heads
-    assert rest.tolist() == rests
+    sums = scott_shift._weighted_channel_sums(difference_over_gamma2_kernel, gamma, l, kb, n_cut)
+    assert sums.tolist() == want
+
+
+@pytest.mark.parametrize("block", [1, 7, 300, 1 << 13])
+def test_blocked_series_sums_equal_channel_loop(block, monkeypatch):
+    # the series of every channel has the bits of that channel evaluated alone
+    gamma, l_count, order = 0.9375, 40, 14
+    want = [
+        float(scott_shift._series_sums(gamma, np.array([float(l)]), np.array([kb]), order)[0])
+        for l, kb in _channels(l_count)
+    ]
+    monkeypatch.setattr(scott_shift, "_BLOCK_ELEMENTS", block)
+    l, kb = scott_shift._channel_arrays(0, l_count)
+    assert scott_shift._series_sums(gamma, l, kb, order).tolist() == want
+
+
+def test_shift_bits_do_not_depend_on_block_size(monkeypatch):
+    want = scott_shift.shift(0.9, 1e-9)
+    for block in (5, 1000, 1 << 15):
+        monkeypatch.setattr(scott_shift, "_BLOCK_ELEMENTS", block)
+        assert scott_shift.shift(0.9, 1e-9) == want
 
 
 def test_channel_arrays_follow_kappa_bars():
-    l, kb = scott_shift._channel_arrays(3, 9)
-    assert list(zip(l.tolist(), kb.tolist())) == _channels(9)[5:]
+    for l_start, l_stop in ((3, 9), (0, 4096)):
+        l, kb = scott_shift._channel_arrays(l_start, l_stop)
+        want = [(float(li), k) for li in range(l_start, l_stop) for k in kappa_bars(li)]
+        assert list(zip(l.tolist(), kb.tolist())) == want
 
 
 @pytest.mark.parametrize("s", [1.05, 2.0, 3.0, 4.0, 5.0, 6.5, 30.0])
@@ -66,6 +84,12 @@ def test_array_hurwitz_equals_scalar_calls(s):
     want = np.array([hurwitz_zeta(s, float(x)) for x in a])
     assert isinstance(got, np.ndarray) and got.shape == a.shape
     assert np.array_equal(got, want)
+    # an array of orders broadcast against the array of a: the same bits again
+    orders = np.array([s, s + 1.0, 2.5 * s, 17.0])[:, None]
+    grid = hurwitz_zeta(orders, a)
+    assert grid.shape == (4, a.size)
+    for row, order in zip(grid, orders[:, 0]):
+        assert np.array_equal(row, [hurwitz_zeta(float(order), float(x)) for x in a])
 
 
 def test_array_hurwitz_keeps_shape():
@@ -79,3 +103,9 @@ def test_array_hurwitz_keeps_shape():
 def test_array_hurwitz_rejects_nonpositive_a(bad):
     with pytest.raises(ValueError, match=f"hurwitz_zeta requires a > 0, got a={bad}"):
         hurwitz_zeta(3.0, np.array([1.0, 20.0, bad, 3.0]))
+
+
+@pytest.mark.parametrize("bad", [1.0, 0.5, float("nan")])
+def test_array_hurwitz_rejects_order_at_most_one(bad):
+    with pytest.raises(ValueError, match=f"hurwitz_zeta requires s > 1, got s={bad}"):
+        hurwitz_zeta(np.array([3.0, bad, 2.0]), 5.0)

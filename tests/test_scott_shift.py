@@ -3,7 +3,10 @@ import math
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relscott import (
     SCHWINGER_COEFFICIENT,
@@ -14,6 +17,9 @@ from relscott import (
     shift,
     zeta_double_sum_identity_check,
 )
+from relscott import scott_shift
+from relscott.hydrogenic import difference_over_gamma2_kernel, tail_coefficients_reduced
+from relscott.quantum_numbers import kappa_bars
 from relscott.scott_shift import direct_channel_sum
 
 mpmath.mp.dps = 30
@@ -215,8 +221,8 @@ def test_shift_against_extended_precision_reference():
 
 # value, tail_estimate (repr), l_max and n_max of shift() at the 12-step curve
 # gammas (tol 1e-8), the precise-workload lattice gammas (tol 1e-10) and
-# gamma 0.9999, as computed by the per-channel loop that the blocked channel
-# sums replaced; value and cutoffs must not move by a bit
+# gamma 0.9999; each lies within the old and new tail estimates of the values
+# that the n-doubling evaluation gave; value and cutoffs must not move by a bit
 SHIFT_PINS = json.loads((Path(__file__).parent / "data" / "shift_pins.json").read_text())
 
 
@@ -228,3 +234,101 @@ def test_shift_matches_pins(pin):
     pinned_tail = float(pin["tail_estimate"])
     assert abs(res.tail_estimate - pinned_tail) <= 4 * math.ulp(pinned_tail)
     assert res.tail_estimate <= pin["tol"]
+
+
+# gamma in [0, 1), with a share of draws within 1e-6 of 1
+GAMMAS = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(1.0 - 1e-6, 1.0, exclude_max=True),
+)
+
+
+def _mp_level_difference(gamma, kb, u):
+    """(lambda_D - lambda_S)/gamma^2 at u = 1/N in mpmath, written without
+    cancellation: with z = u^2/D and r = sqrt(1 - gamma^2 z), it is
+    -u^2 (4 delta u (1 - kb u)/D + gamma^2 z/(1 + r)) / (2 (1 + r))."""
+    g2 = mpmath.mpf(gamma) ** 2
+    delta = g2 / (kb + mpmath.sqrt(kb * kb - g2))
+    d = 1 - 2 * delta * u + 2 * kb * delta * u * u
+    z = u * u / d
+    r = mpmath.sqrt(1 - g2 * z)
+    return -u * u * (4 * delta * u * (1 - kb * u) / d + g2 * z / (1 + r)) / (2 * (1 + r))
+
+
+@settings(max_examples=12, deadline=None)
+@given(gamma=GAMMAS, l=st.integers(0, 64), upper=st.booleans(), order=st.integers(3, 24))
+def test_channel_series_matches_mpmath(gamma, l, upper, order):
+    # direct levels n < _N_SERIES plus the series to the given order, against
+    # a 30-digit sum of the exact difference: direct below _N_SERIES, and above
+    # it the exact function's own Taylor coefficients (by mpmath
+    # differentiation) against mpmath zeta, to order 40
+    kb = kappa_bars(l)[-1 if upper else 0]
+    n0 = scott_shift._N_SERIES
+    la, kba = np.array([float(l)]), np.array([kb])
+    got = float(
+        scott_shift._weighted_channel_sums(difference_over_gamma2_kernel, gamma, la, kba, n0 - 1)[0]
+        + scott_shift._series_sums(gamma, la, kba, order)[0]
+    )
+    with mpmath.workdps(30):
+        c = mpmath.taylor(lambda u: _mp_level_difference(gamma, kb, u), 0, 40)
+        a = l + n0
+        ref = 2 * kb * (
+            mpmath.fsum(_mp_level_difference(gamma, kb, mpmath.mpf(1) / (n + l)) for n in range(1, n0))
+            + mpmath.fsum(c[k] * mpmath.zeta(k, a) for k in range(3, 41))
+        )
+        # the proven remainder past the order: 0.12 sum_{k>order} 4^k zeta(k, a)
+        remainder = 2 * kb * scott_shift._F_MAX * mpmath.fsum(
+            4**k * mpmath.zeta(k, a) for k in range(order + 1, 200)
+        )
+    # rounding: a few ulp of the channel sum, and in the ground state (kb = 1,
+    # n = 1) the rounding of gamma^2 inside sqrt(1 - gamma^2), which grows
+    # like eps/sqrt(1 - gamma^2) as gamma -> 1
+    eps = np.finfo(float).eps
+    rounding = 16 * eps * abs(float(ref)) + (eps / math.sqrt((1 - gamma) * (1 + gamma)) if l == 0 else 0.0)
+    assert abs(got - float(ref)) <= float(remainder) + rounding
+
+
+@settings(max_examples=10, deadline=None)
+@given(gamma=GAMMAS, tol=st.floats(1e-10, 1e-2))
+def test_tail_estimates_contain_the_tightest_shift(gamma, tol):
+    res = shift(gamma, tol)
+    ref = shift(gamma, 1e-10)
+    assert res.tail_estimate <= tol
+    assert abs(res.value - ref.value) <= res.tail_estimate + ref.tail_estimate
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 0.5, 0.9, 1.0 - 1e-9])
+def test_taylor_coefficients_open_with_the_tail_coefficients(gamma):
+    kb = np.array([1.0, 2.0, 7.0, 300.0])
+    c = scott_shift._taylor_coefficients(gamma, kb, 5)
+    for got, want in zip(c, tail_coefficients_reduced(gamma, kb)):
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-16)
+
+
+def test_level_difference_bounded_on_the_cauchy_circle():
+    # |f| <= _F_MAX on |u| = 1/4, which gives |c_k| <= _F_MAX 4^k
+    u = 0.25 * np.exp(2j * np.pi * np.arange(256) / 256)
+    worst = 0.0
+    for gamma in (1e-3, 0.3, 0.6, 0.9, 0.99, 0.9999, 1.0):
+        for kb in (1.0, 2.0, 3.0, 10.0, 100.0, 1e5):
+            delta = gamma**2 / (kb + np.sqrt(kb * kb - gamma**2))
+            z = u * u / (1.0 - 2.0 * delta * u + 2.0 * kb * delta * u * u)
+            f = u * u / 2.0 - z / (1.0 + np.sqrt(1.0 - gamma**2 * z))
+            worst = max(worst, float(np.abs(f).max()))
+    assert worst <= scott_shift._F_MAX
+
+
+def test_series_order_bound_covers_the_cauchy_remainder():
+    # the remainder bound _series_order returns is at least the Cauchy one,
+    # 0.12 sum_{k>K} 4^k zeta(k, a) per channel with weight 2kb
+    l, kb = scott_shift._channel_arrays(0, 8)
+    a = l + scott_shift._N_SERIES
+    for budget in (1e-3, 1e-8, 5e-11):
+        order, bound = scott_shift._series_order(kb, a, budget)
+        assert bound <= budget
+        cauchy = mpmath.fsum(
+            2 * w * scott_shift._F_MAX * 4**k * mpmath.zeta(k, x)
+            for w, x in zip(kb.tolist(), a.tolist())
+            for k in range(order + 1, order + 30)  # the rest is below 8^-30 of it
+        )
+        assert cauchy <= bound

@@ -82,6 +82,16 @@ def test_functional_pieces(tf_solution):
     assert abs(5.0 / 3.0 * sol.kinetic_1 + sol.attraction_1 + 2.0 * sol.repulsion_1) < 1e-6
 
 
+def test_functional_pieces_keep_the_tf_ratios():
+    # with the attraction A = phi'(0)/b, TF theory gives E = 3A/7, K = -3A/7
+    # and R = -A/7 exactly
+    sol = solve_tf(1e-10)
+    a = sol.initial_slope / TF_LENGTH_B
+    assert abs(sol.e_tf_1 - 3.0 * a / 7.0) <= 1e-11
+    assert abs(sol.kinetic_1 + 3.0 * a / 7.0) <= 1e-11
+    assert abs(sol.repulsion_1 + a / 7.0) <= 1e-11
+
+
 def test_minimality_probe(tf_solution):
     e0 = tf_functional_at_scale(tf_solution, 1.0)
     assert e0 == pytest.approx(tf_solution.e_tf_1, abs=1e-15)
