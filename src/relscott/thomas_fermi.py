@@ -18,24 +18,25 @@ exchange-hole radius, and the hole-screened potential.
 
 The neutral-atom solution is a separatrix with a growing perturbation mode
 ~ x^4.77, so plain double-precision shooting cannot carry the profile beyond
-x ~ 50.  solve_tf therefore solves it globally by collocation for ln(phi) in
-the v = sqrt(x) variable (the log keeps residuals relative across eleven
-decades of phi), starting from Sommerfeld's closed-form approximation
+x ~ 50.  solve_tf therefore solves it globally: Newton iteration on
+multi-domain Chebyshev collocation for ln(phi) in t = ln sqrt(x) (the log
+keeps residuals relative across eleven decades of phi), started from
+Sommerfeld's closed-form approximation
 phi ~ (1 + (x^3/144)^(sigma/3))^(-3/sigma).  A slope-free Robin condition at
 the origin lets the collocation find the initial slope itself, and a fitted
 power-law boundary condition
 phi ~ (144/x^3)(1 - F x^-sigma + a2 (F x^-sigma)^2), sigma = (sqrt(73)-7)/2,
 holds at the far end.  The decay law is validated against the computed
-profile, not assumed.  scipy is imported inside the functions that use it,
-so importing this module stays cheap.
+profile, not assumed.  Integrals are Clenshaw-Curtis and Chebyshev
+antiderivatives on the same domains, and values between nodes come from
+barycentric interpolation, so the module needs numpy alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,12 +55,23 @@ PROFILE_X_FAR = 2000.0
 TOL_MIN = 1e-10
 TOL_MAX = 1e-4
 
-_DENSE_POINTS = 30001
 _KINETIC_PREF = 1.2 * 2.0 ** (4.0 / 3.0) / (3.0 * math.pi) ** (2.0 / 3.0)
+
+# collocation: inner domain ends in t = ln sqrt(x), Chebyshev degree per
+# domain, and the Newton step (in ln phi) below which the iterate sits at
+# its rounding floor
+_DOMAIN_BREAKS = (-2.0, 0.0, 2.0)
+_DEGREE = 32
+_NEWTON_STEP_TOL = 1e-10
+_NEWTON_MAX_STEPS = 30
+
+# columns of the node table: ln phi, d ln phi/dt, q(x), o(x)
+_PSI, _PSI_T, _CHARGE, _OUTER = range(4)
 
 
 class TfConvergenceError(RuntimeError):
-    """Collocation from the Sommerfeld starting profile failed to converge."""
+    """Newton iteration on the collocation equations did not bring its step
+    below the rounding floor; the message gives the last Newton residual."""
 
 
 class InsufficientChargeError(ValueError):
@@ -82,29 +94,133 @@ def _series_dphi(x, slope: float):
     return slope + 2.0 * np.sqrt(x) + slope * x**1.5
 
 
+def _decay_factor(tau):
+    """u = 1 - tau + a2 tau^2 with tau = F x^-sigma, so phi ~ (144/x^3) u.
+
+    Returns u, du = d u / d ln x, and their derivatives in tau.
+    """
+    u = 1.0 - tau + _ASYMP_A2 * tau * tau
+    du = DECAY_SIGMA * tau - 2.0 * DECAY_SIGMA * _ASYMP_A2 * tau * tau
+    return u, du, 2.0 * _ASYMP_A2 * tau - 1.0, DECAY_SIGMA - 4.0 * DECAY_SIGMA * _ASYMP_A2 * tau
+
+
 def _asymptote_phi(x, coeff: float):
     x = np.asarray(x, dtype=float)
-    t = coeff * x ** (-DECAY_SIGMA)
-    return 144.0 / x**3 * (1.0 - t + _ASYMP_A2 * t * t)
+    u = _decay_factor(coeff * x ** (-DECAY_SIGMA))[0]
+    return 144.0 / x**3 * u
 
 
 def _asymptote_dphi(x, coeff: float):
     x = np.asarray(x, dtype=float)
-    t = coeff * x ** (-DECAY_SIGMA)
-    u = 1.0 - t + _ASYMP_A2 * t * t
-    du = DECAY_SIGMA * t - 2.0 * DECAY_SIGMA * _ASYMP_A2 * t * t  # d u / d ln x
+    u, du = _decay_factor(coeff * x ** (-DECAY_SIGMA))[:2]
     return 144.0 / x**4 * (-3.0 * u + du)
+
+
+def _lobatto(n: int):
+    """Chebyshev-Lobatto nodes of degree n on [-1, 1], ascending.
+
+    Returns the nodes, their barycentric weights, the differentiation matrix
+    and the cumulative-integration matrix (node values of f to node values of
+    int_{-1}^{s} f, exact for polynomials of degree n; its last row holds the
+    Clenshaw-Curtis weights).
+    """
+    j = np.arange(n + 1)
+    theta = np.pi - np.pi * j / n
+    nodes = np.cos(theta)
+    weights = (-1.0) ** j
+    weights[[0, -1]] = 0.5 * weights[[0, -1]]
+    gap = nodes[:, None] - nodes
+    np.fill_diagonal(gap, 1.0)
+    diff = weights / weights[:, None] / gap
+    np.fill_diagonal(diff, 0.0)
+    np.fill_diagonal(diff, -diff.sum(axis=1))
+    # values -> Chebyshev coefficients -> antiderivative coefficients -> values
+    k = np.arange(n + 2)
+    cheb = np.cos(np.outer(theta, k))  # T_k(nodes), k = 0..n+1
+    half = np.where((j == 0) | (j == n), 0.5, 1.0)
+    to_coeff = (2.0 / n) * half[:, None] * cheb[:, : n + 1].T * half
+    anti = np.zeros((n + 2, n + 1))
+    anti[1, 0] = 1.0
+    anti[2, 1] = 0.25
+    m = np.arange(2, n + 1)
+    anti[m + 1, m] = 0.5 / (m + 1)
+    anti[m - 1, m] -= 0.5 / (m - 1)
+    integ = np.einsum("ik,kl,lj->ij", cheb - (-1.0) ** k, anti, to_coeff)
+    return nodes, weights, diff, integ
+
+
+def _solve_banded(a, b):
+    """Solve a x = b by Gaussian elimination with partial pivoting.
+
+    Only elementwise numpy is used, no BLAS or LAPACK, so the bits do not
+    depend on the thread count; the updates stay inside the band of a
+    (widened by the row swaps).
+    """
+    a, b = a.copy(), b.copy()
+    n = len(b)
+    rows, cols = np.nonzero(a)
+    lower = int(np.max(rows - cols))
+    upper = int(np.max(cols - rows)) + lower
+    for k in range(n - 1):
+        r, c = min(n, k + lower + 1), min(n, k + upper + 1)
+        p = k + int(np.abs(a[k:r, k]).argmax())
+        if p != k:
+            a[(k, p), k:c] = a[(p, k), k:c]
+            b[k], b[p] = b[p], b[k]
+        m = a[k + 1:r, k] / a[k, k]
+        a[k + 1:r, k + 1:c] -= m[:, None] * a[k, k + 1:c]
+        b[k + 1:r] -= m * b[k]
+    x = np.zeros(n)
+    for k in range(n - 1, -1, -1):
+        c = min(n, k + upper + 1)
+        x[k] = (b[k] - (a[k, k + 1:c] * x[k + 1:c]).sum()) / a[k, k]
+    return x
+
+
+def _per_domain(matrix, values):
+    """Apply one matrix (or one per domain) to each domain's node values."""
+    return np.einsum("...ij,...j->...i", matrix, values)
+
+
+@dataclass(frozen=True, eq=False)
+class _NodeTable:
+    """Columns tabulated at the Chebyshev nodes of each domain in t = ln sqrt(x)."""
+
+    breaks: np.ndarray  # (domains + 1,) domain ends in t
+    nodes: np.ndarray  # (domains, degree + 1) node positions in t
+    weights: np.ndarray  # (degree + 1,) barycentric weights
+    values: np.ndarray  # (domains, degree + 1, 4), columns _PSI.._OUTER
+
+    def __call__(self, x, column: int) -> np.ndarray:
+        """Barycentric interpolation of one column at x (array, inside the grid)."""
+        t = 0.5 * np.log(x)
+        domain = np.searchsorted(self.breaks[1:-1], t)
+        out = np.empty_like(t)
+        for k in np.unique(domain):
+            sel = domain == k
+            vals = self.values[k, :, column]
+            gap = t[sel, None] - self.nodes[k]
+            hit = gap == 0.0
+            gap[hit] = 1.0
+            c = self.weights / gap
+            res = np.einsum("ij,j->i", c, vals) / c.sum(axis=1)
+            on_node = hit.any(axis=1)
+            res[on_node] = vals[hit[on_node].argmax(axis=1)]
+            out[sel] = res
+        return out
 
 
 @dataclass(frozen=True, eq=False)
 class TfSolution:
     """Dimensionless neutral-atom profile with derived energy data.
 
-    grid/phi/dphi sample phi(x) from PROFILE_X0 out to a far end chosen so
-    the endpoint value sits below 10*tol; phi_at and dphi_at give C1
-    monotone-cubic values between nodes (series below the grid, fitted
-    power-law decay above).  Energies are Hartree at Z = 1.  Instances are
-    immutable (arrays are read-only) and identity-hashed.
+    grid/phi/dphi hold phi(x) and phi'(x) at the collocation nodes: the
+    Chebyshev-Lobatto points of each domain in t = ln sqrt(x), each domain
+    end once, from PROFILE_X0 out to a far end chosen so the endpoint value
+    sits below 10*tol.  phi_at and dphi_at interpolate the same polynomials
+    barycentrically between nodes (series below the grid, fitted power-law
+    decay above).  Energies are Hartree at Z = 1.  Instances are immutable
+    (arrays are read-only) and identity-hashed.
     """
 
     initial_slope: float
@@ -117,10 +233,7 @@ class TfSolution:
     repulsion_1: float
     asymptote_coefficient: float
     solver_tol: float
-    _phi_ip: Callable = field(repr=False, compare=False)
-    _dphi_ip: Callable = field(repr=False, compare=False)
-    _charge_ip: Callable = field(repr=False, compare=False)
-    _outer_ip: Callable = field(repr=False, compare=False)
+    _table: _NodeTable
 
     def _piecewise(self, x, below, on_grid, above):
         """Evaluate below the grid, on it (interpolated) and above it."""
@@ -130,10 +243,9 @@ class TfSolution:
         out = np.empty_like(x)
         lo = x < self.grid[0]
         hi = x > self.grid[-1]
-        mid = ~(lo | hi)
-        out[lo] = below(x[lo])
-        out[mid] = on_grid(x[mid])
-        out[hi] = above(x[hi])
+        for part, evaluate in ((lo, below), (~(lo | hi), on_grid), (hi, above)):
+            if part.any():
+                out[part] = evaluate(x[part])
         return float(out[0]) if scalar else out
 
     def phi_at(self, x) -> np.ndarray:
@@ -144,7 +256,7 @@ class TfSolution:
         return self._piecewise(
             x,
             lambda t: _series_phi(t, self.initial_slope),
-            self._phi_ip,
+            lambda t: np.exp(self._table(t, _PSI)),
             lambda t: _asymptote_phi(t, self.asymptote_coefficient),
         )
 
@@ -156,7 +268,7 @@ class TfSolution:
         return self._piecewise(
             x,
             lambda t: _series_dphi(t, self.initial_slope),
-            self._dphi_ip,
+            lambda t: np.exp(self._table(t, _PSI)) * self._table(t, _PSI_T) / (2.0 * t),
             lambda t: _asymptote_dphi(t, self.asymptote_coefficient),
         )
 
@@ -165,18 +277,35 @@ class TfSolution:
         return self._piecewise(
             x,
             lambda t: (2.0 / 3.0) * t**1.5,
-            self._charge_ip,
+            lambda t: self._table(t, _CHARGE),
             lambda t: 1.0 - (self.phi_at(t) - t * self.dphi_at(t)),
         )
 
     def outer_profile_integral(self, x) -> np.ndarray:
         """o(x) = int_x^inf phi^{3/2} t^{-1/2} dt = -phi'(x) for the exact profile."""
+        o0 = self._table.values[0, 0, _OUTER]
         return self._piecewise(
             x,
-            lambda t: self._outer_ip(self.grid[0]) + 2.0 * (np.sqrt(self.grid[0]) - np.sqrt(t)),
-            self._outer_ip,
+            lambda t: o0 + 2.0 * (np.sqrt(self.grid[0]) - np.sqrt(t)),
+            lambda t: self._table(t, _OUTER),
             lambda t: -self.dphi_at(t),
         )
+
+    @cached_property
+    def _charge_table(self):
+        """Z = 1 charge quadrature: nodes w_i (Hartree radius) and weights.
+
+        Trapezoid of phi^{3/2} sqrt(x) dx on a dense log grid; the weights
+        integrate to 1.  Built on first use, once per solution.
+        """
+        x = np.geomspace(PROFILE_X0, self.grid[-1], 20001)
+        phi = np.maximum(self.phi_at(x), 0.0)
+        f = phi**1.5 * np.sqrt(x)
+        w_mid = 0.5 * (x[:-1] + x[1:]) * TF_LENGTH_B
+        cw = 0.5 * (f[:-1] + f[1:]) * np.diff(x)
+        w_mid.setflags(write=False)
+        cw.setflags(write=False)
+        return w_mid, cw
 
     def export_profile_csv(self, path) -> None:
         """Write the x,phi table (12 significant digits)."""
@@ -190,116 +319,161 @@ class TfSolution:
 # solver
 # ---------------------------------------------------------------------------
 
-def _collocation_refine(bvp_tol: float, x_far: float):
-    """Global collocation for psi = ln(phi) in the v = sqrt(x) variable.
+def _collocation_solve(t_nodes, diff):
+    """Newton iteration for psi = ln(phi) at the nodes t_nodes (domains, n+1).
 
-    The log variable keeps the residual scale relative across eleven decades
-    of phi (and makes positivity automatic):
+    In t = ln sqrt(x) the profile equation reads
 
-        psi'' = psi'/v - psi'^2 + 4 v exp(psi/2).
+        psi_tt = 2 psi_t - psi_t^2 + 4 exp(3t) exp(psi/2).
 
-    The initial mesh carries Sommerfeld's closed-form approximation
-    phi ~ (1 + (x^3/144)^(sigma/3))^(-3/sigma), which has the right value at
-    the origin and the right 144/x^3 decay, so no slope is needed up front.
+    It is collocated at the interior nodes of each domain; psi and psi_t are
+    continuous across domain ends.  The origin carries the slope-free Robin
+    condition phi - x phi' = 1 - (2/3) x^{3/2}, the far end the power-law
+    value and log-slope with unknown tau = F x_end^-sigma.  The iteration
+    starts from Sommerfeld's closed form phi ~ (1 + (x^3/144)^(sigma/3))^(-3/sigma),
+    which has the right value at the origin and the right 144/x^3 decay, so
+    no slope is needed up front.  Returns psi, psi_t and F.
     """
-    from scipy.integrate import solve_bvp
+    domains, size = t_nodes.shape
+    n = size - 1
+    x = np.exp(2.0 * t_nodes)
+    v0 = math.exp(t_nodes[0, 0])
+    x_end = float(x[-1, -1])
+    robin = 1.0 - (2.0 / 3.0) * v0**3
+    source = 4.0 * np.exp(3.0 * t_nodes)
+    diff2 = np.einsum("kij,kjl->kil", diff, diff)
+    far_decay = x_end ** (-DECAY_SIGMA)
 
-    v0 = math.sqrt(PROFILE_X0)
-    v_far = math.sqrt(x_far)
-    x_end = v_far * v_far
+    psi = -(3.0 / DECAY_SIGMA) * np.log1p((x**3 / 144.0) ** (DECAY_SIGMA / 3.0))
+    tau = 13.27 * far_decay
+    unknowns = domains * size + 1
+    last = unknowns - 2  # row and column of psi at the far end
+    for _ in range(_NEWTON_MAX_STEPS):
+        psi_t = _per_domain(diff, psi)
+        src = source * np.exp(0.5 * psi)
+        res = np.empty(unknowns)
+        jac = np.zeros((unknowns, unknowns))
 
-    def rhs(v, y, p):
-        return np.vstack([y[1], y[1] / v - y[1] * y[1] + 4.0 * v * np.exp(0.5 * y[0])])
+        # collocation rows at the interior nodes of each domain
+        inner = _per_domain(diff2, psi) - 2.0 * psi_t + psi_t * psi_t - src
+        block = diff2 + 2.0 * (psi_t - 1.0)[:, :, None] * diff
+        block[:, np.arange(size), np.arange(size)] -= 0.5 * src
+        for k in range(domains):
+            rows = slice(k * size + 1, k * size + n)
+            res[rows] = inner[k, 1:n]
+            jac[rows, k * size:(k + 1) * size] = block[k, 1:n]
 
-    def bc(ya, yb, p):
-        phi_end = _asymptote_phi(x_end, p[0])
-        return np.array(
-            [
-                # slope-free Robin condition: phi - x phi' = 1 - (2/3) x^{3/2}
-                math.exp(ya[0]) * (1.0 - 0.5 * v0 * ya[1]) - (1.0 - (2.0 / 3.0) * v0**3),
-                yb[0] - np.log(phi_end),
-                # x phi'/phi = d ln phi / d ln x matched to the power law
-                0.5 * v_far * yb[1] - x_end * _asymptote_dphi(x_end, p[0]) / phi_end,
-            ]
-        )
+        # Robin condition at the origin: exp(psi)(1 - psi_t/2) = 1 - (2/3) v0^3
+        e0 = math.exp(psi[0, 0])
+        res[0] = e0 * (1.0 - 0.5 * psi_t[0, 0]) - robin
+        jac[0, :size] = -0.5 * e0 * diff[0, 0]
+        jac[0, 0] += e0 * (1.0 - 0.5 * psi_t[0, 0])
 
-    v_mesh = np.geomspace(v0, v_far, 4001 if x_far <= 3000.0 else 6001)
-    x_mesh = v_mesh * v_mesh
-    phi_g = (1.0 + (x_mesh**3 / 144.0) ** (DECAY_SIGMA / 3.0)) ** (-3.0 / DECAY_SIGMA)
-    psi_g = np.log(phi_g)
-    y_guess = np.vstack([psi_g, np.gradient(psi_g, v_mesh)])
+        # continuity of psi (last row of domain k) and psi_t (first of k+1)
+        for k in range(domains - 1):
+            end, start = k * size + n, (k + 1) * size
+            res[end] = psi[k, n] - psi[k + 1, 0]
+            jac[end, end] = 1.0
+            jac[end, start] = -1.0
+            res[start] = psi_t[k, n] - psi_t[k + 1, 0]
+            jac[start, k * size:start] = diff[k, n]
+            jac[start, start:start + size] -= diff[k + 1, 0]
 
-    sol = solve_bvp(rhs, bc, v_mesh, y_guess, p=[13.27], tol=bvp_tol, max_nodes=120_000)
-    if sol.status != 0 and not (sol.status == 1 and sol.rms_residuals.max() < 10.0 * bvp_tol):
-        raise TfConvergenceError(f"collocation refinement failed: {sol.message}")
-    return sol
+        # far end: psi = ln(144 u / x^3), psi_t / 2 = x phi'/phi = -3 + du/u
+        u, du, u_tau, du_tau = _decay_factor(tau)
+        res[last] = psi[-1, n] - (math.log(144.0 / x_end**3) + math.log(u))
+        jac[last, last] = 1.0
+        jac[last, -1] = -u_tau / u
+        res[-1] = 0.5 * psi_t[-1, n] - (-3.0 + du / u)
+        jac[-1, last - n:last + 1] = 0.5 * diff[-1, n]
+        jac[-1, -1] = -(du_tau * u - du * u_tau) / (u * u)
+
+        step = _solve_banded(jac, -res)
+        if not np.all(np.isfinite(step)):
+            break
+        psi = psi + step[:-1].reshape(domains, size)
+        tau += step[-1]
+        if np.max(np.abs(step[:-1])) <= _NEWTON_STEP_TOL:
+            return psi, _per_domain(diff, psi), tau / far_decay
+    raise TfConvergenceError(
+        "Newton iteration on the collocation equations did not converge: "
+        f"residual {np.max(np.abs(res)):.3e}"
+    )
 
 
 def solve_tf(tol: float = 1e-8) -> TfSolution:
     """Solve the neutral-atom profile and evaluate the TF functional at Z=1.
 
-    tol in [1e-10, 1e-4] steers the collocation residual target and the
-    quadrature budgets; E_TF(1) is computed by inserting the reconstructed
+    tol in [1e-10, 1e-4] sets the far end, so that phi(x_end) ~ 144/x_end^3
+    sits below 10*tol; at every tol the collocation is iterated to its
+    rounding floor.  E_TF(1) is computed by inserting the reconstructed
     minimizer into the functional (kinetic, attraction, repulsion pieces by
     radial quadrature), not from the slope shortcut.
     """
     tol = float(tol)
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
-    from scipy.integrate import cumulative_simpson, simpson
-    from scipy.interpolate import PchipInterpolator
-
-    bvp_tol = min(1e-7, max(1e-11, 0.01 * tol))
-    # far enough that phi(x_end) ~ 144/x^3 sits below 10*tol
     x_far = max(PROFILE_X_FAR, (144.0 / (5.0 * tol)) ** (1.0 / 3.0))
-    sol = _collocation_refine(bvp_tol, x_far)
 
-    v_nodes = sol.x
-    x_nodes = v_nodes * v_nodes
-    phi_nodes = np.exp(sol.y[0])
-    dphi_nodes = phi_nodes * sol.y[1] / (2.0 * v_nodes)
-    coeff_f = float(sol.p[0])
+    nodes, weights, diff, integ = _lobatto(_DEGREE)
+    breaks = np.array([0.5 * math.log(PROFILE_X0), *_DOMAIN_BREAKS, 0.5 * math.log(x_far)])
+    half_width = 0.5 * np.diff(breaks)
+    t = 0.5 * (breaks[:-1] + breaks[1:])[:, None] + half_width[:, None] * nodes
+    t[:, 0], t[:, -1] = breaks[:-1], breaks[1:]
+    psi, psi_t, coeff_f = _collocation_solve(t, diff / half_width[:, None, None])
 
-    v0 = v_nodes[0]
-    slope = float((dphi_nodes[0] - 2.0 * v0) / (1.0 + v0**3))
+    v = np.exp(t)
+    x = v * v
+    phi = np.exp(psi)
+    v0, x_end = float(v[0, 0]), float(x[-1, -1])
+    tau_end = coeff_f * x_end ** (-DECAY_SIGMA)
 
-    # dense resample of the collocation spline for all one-dimensional integrals
-    vd = np.geomspace(v_nodes[0], v_nodes[-1], _DENSE_POINTS)
-    xd = vd * vd
-    phid = np.exp(sol.sol(vd)[0])
-    x_far = float(x_nodes[-1])
-    t_far = coeff_f * x_far ** (-DECAY_SIGMA)
+    def cumulative(f, matrix=integ):
+        return half_width[:, None] * _per_domain(matrix, f)
 
-    # I_A = int phi^{3/2} x^{-1/2} dx  (dx = 2 v dv), head analytic, tail power law
-    head_a = 2.0 * v0 + slope * v0**3
-    tail_a = (144.0 * (1.0 - t_far)) ** 1.5 / (4.0 * x_far**4)
-    i_attr = simpson(2.0 * phid**1.5, x=vd) + head_a + tail_a
+    def total(f):
+        return float(np.sum(cumulative(f)[:, -1]))
 
-    # I_K = int phi^{5/2} x^{-1/2} dx
-    head_k = 2.0 * v0 + (5.0 / 3.0) * slope * v0**3
-    tail_k = (144.0 * (1.0 - t_far)) ** 2.5 / (7.0 * x_far**7)
-    i_kin = simpson(2.0 * phid**2.5, x=vd) + head_k + tail_k
+    # integrands in t (dx = 2 v^2 dt): I_A of phi^{3/2} x^{-1/2}, charge q of
+    # phi^{3/2} sqrt(x), I_K of phi^{5/2} x^{-1/2}
+    d_attr = 2.0 * v * phi**1.5
+    d_charge = d_attr * x
+    tail_a = (144.0 * (1.0 - tau_end)) ** 1.5 / (4.0 * x_end**4)
+    tail_k = (144.0 * (1.0 - tau_end)) ** 2.5 / (7.0 * x_end**7)
 
-    # cumulative charge q(x) and outer integral o(x) on the dense grid
-    dq = 2.0 * phid**1.5 * vd * vd  # phi^{3/2} sqrt(x) dx / dv
-    q_dense = cumulative_simpson(dq, x=vd, initial=0.0) + (2.0 / 3.0) * v0**3
-    o_rev = cumulative_simpson((2.0 * phid**1.5)[::-1], x=-vd[::-1], initial=0.0)[::-1]
-    o_dense = o_rev + tail_a
+    # q(x) from the origin, o(x) from infinity, summed across domains
+    q_part = cumulative(d_charge)
+    o_part = cumulative(d_attr, integ[::-1, ::-1])
+    q_before = np.concatenate(([0.0], np.cumsum(q_part[:-1, -1])))
+    o_after = np.concatenate((np.cumsum(o_part[:0:-1, 0])[::-1], [0.0]))
+    q_nodes = q_part + q_before[:, None] + (2.0 / 3.0) * v0**3
+    o_nodes = o_part + o_after[:, None] + tail_a
+
+    # phi'(x0) = -o(x0): the ODE integrated from x0 out, with the series
+    # phi' = s + 2 sqrt(x) + s x^{3/2} below it
+    slope = float(-(o_nodes[0, 0] + 2.0 * v0) / (1.0 + v0**3))
+
+    # I_A and I_K: head below x0 analytic, tail past x_end power law
+    i_attr = total(d_attr) + 2.0 * v0 + slope * v0**3 + tail_a
+    i_kin = total(d_attr * phi) + 2.0 * v0 + (5.0 / 3.0) * slope * v0**3 + tail_k
 
     # D = (1/2b) int dq (q/x + o): below x0, dq = sqrt(x) dx, q/x = (2/3) sqrt(x)
     # and o = o(x0) + 2 (sqrt(x0) - sqrt(x)); past x_far, q -> 1 turns dq q/x
     # into the I_A tail, and dq o is O(x^-7) smaller
-    head_r = (2.0 / 3.0) * v0**3 * (o_dense[0] + v0)
-    i_rep = simpson(dq * (q_dense / xd + o_dense), x=vd) + head_r + tail_a
+    head_r = (2.0 / 3.0) * v0**3 * (o_nodes[0, 0] + v0)
+    i_rep = total(d_charge * (q_nodes / x + o_nodes)) + head_r + tail_a
     repulsion = i_rep / (2.0 * TF_LENGTH_B)
     attraction = -i_attr / TF_LENGTH_B
     kinetic = _KINETIC_PREF * i_kin
     e_tf_1 = kinetic + attraction + repulsion
 
-    grid = np.asarray(x_nodes, dtype=float)
-    phi_arr = np.asarray(phi_nodes, dtype=float)
-    dphi_arr = np.asarray(dphi_nodes, dtype=float)
-    for arr in (grid, phi_arr, dphi_arr):
+    # each domain end once
+    keep = np.ones(t.shape, dtype=bool)
+    keep[1:, 0] = False
+    grid, phi_arr = x[keep], phi[keep]
+    dphi_arr = (phi * psi_t / (2.0 * x))[keep]
+    values = np.stack([psi, psi_t, q_nodes, o_nodes], axis=-1)
+    for arr in (grid, phi_arr, dphi_arr, breaks, t, weights, values):
         arr.setflags(write=False)
 
     return TfSolution(
@@ -311,12 +485,9 @@ def solve_tf(tol: float = 1e-8) -> TfSolution:
         kinetic_1=float(kinetic),
         attraction_1=float(attraction),
         repulsion_1=float(repulsion),
-        asymptote_coefficient=coeff_f,
+        asymptote_coefficient=float(coeff_f),
         solver_tol=tol,
-        _phi_ip=PchipInterpolator(grid, phi_arr, extrapolate=False),
-        _dphi_ip=PchipInterpolator(grid, dphi_arr, extrapolate=False),
-        _charge_ip=PchipInterpolator(xd, q_dense, extrapolate=False),
-        _outer_ip=PchipInterpolator(xd, o_dense, extrapolate=False),
+        _table=_NodeTable(breaks, t, weights, values),
     )
 
 
@@ -397,23 +568,15 @@ def mean_field(Z: float, sol: TfSolution, r) -> float | np.ndarray:
     return float(out[0]) if scalar else out
 
 
-@lru_cache(maxsize=8)
 def _charge_quadrature(Z: float, sol: TfSolution):
-    """Nodes w_i (Hartree radius) and per-node charge weights.
+    """Nodes w_i (Hartree radius) and per-node charge weights at charge Z.
 
-    Charge weights integrate to Z (trapezoid of Z * phi^{3/2} sqrt(x) dx on a
-    dense log grid); used by the enclosed-charge and hole-potential kernels.
-    Cached per (Z, solution) pair; TfSolution hashes by identity.
+    The weights integrate to Z; used by the enclosed-charge and
+    hole-potential kernels.  Z enters only through the exact scaling
+    w = w_1 Z^(-1/3), weight = Z weight_1 of the solution's Z = 1 table.
     """
-    x = np.geomspace(PROFILE_X0, sol.grid[-1], 20001)
-    phi = np.maximum(sol.phi_at(x), 0.0)
-    f = phi**1.5 * np.sqrt(x)
-    dx = np.diff(x)
-    w_mid = 0.5 * (x[:-1] + x[1:]) * TF_LENGTH_B * Z ** (-1.0 / 3.0)
-    cw = Z * 0.5 * (f[:-1] + f[1:]) * dx
-    w_mid.setflags(write=False)
-    cw.setflags(write=False)
-    return w_mid, cw
+    w_1, cw_1 = sol._charge_table
+    return w_1 * Z ** (-1.0 / 3.0), Z * cw_1
 
 
 def _enclosed_charge(w_nodes, charge_w, d: float, radius: float) -> float:
@@ -435,14 +598,57 @@ def _hole_potential(w_nodes, charge_w, d: float, radius: float) -> float:
     return float(np.dot(seg / (2.0 * w_nodes * d), charge_w))
 
 
+def _brent_root(f, a: float, b: float, fa: float, fb: float,
+                xtol: float = 1e-13, rtol: float = 8.9e-16) -> float:
+    """Root of f in [a, b], where f(a) = fa and f(b) = fb differ in sign.
+
+    Brent's method: inverse quadratic or secant steps where they shrink the
+    bracket fast enough, bisection otherwise; stops once the bracket is
+    below xtol + rtol |x|.  The steps are those of R. P. Brent, "Algorithms
+    for Minimization without Derivatives" (1973), ch. 4.  Raises
+    ArithmeticError after 100 steps (a nan objective).
+    """
+    x_pre, x_cur, f_pre, f_cur = a, b, fa, fb
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    if f_pre == 0.0:
+        return x_pre
+    for _ in range(100):
+        if f_pre != 0.0 and f_cur != 0.0 and (f_pre < 0.0) != (f_cur < 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = 0.5 * (xtol + rtol * abs(x_cur))
+        s_bis = 0.5 * (x_blk - x_cur)
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:  # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
+        f_cur = f(x_cur)
+    raise ArithmeticError(f"Brent's method did not converge in [{a}, {b}]")
+
+
 def exchange_hole_radius(Z: float, sol: TfSolution, r: float) -> float:
     """Smallest radius whose ball centered at |x| = r holds TF charge 1/2.
 
-    Computed by bisection on the spherically averaged enclosed-charge
-    integral; satisfies the scaling R_Z(r) = Z^{-1/3} R_1(Z^{1/3} r).
+    Computed by Brent's method on the spherically averaged enclosed-charge
+    integral, which grows monotonically with the radius; satisfies the
+    scaling R_Z(r) = Z^{-1/3} R_1(Z^{1/3} r).
     """
-    from scipy.optimize import brentq
-
     _require_positive(Z=Z, r=r)
     if Z < 0.5:
         raise InsufficientChargeError(
@@ -454,11 +660,12 @@ def exchange_hole_radius(Z: float, sol: TfSolution, r: float) -> float:
     def objective(radius: float) -> float:
         return _enclosed_charge(w_nodes, charge_w, r, radius) - 0.5
 
-    if objective(r_hi) < 0.0:
+    f_hi = objective(r_hi)
+    if f_hi < 0.0:
         raise InsufficientChargeError(
             f"quadrature charge cannot reach 1/2 within radius {r_hi}"
         )
-    return float(brentq(objective, 0.0, r_hi, xtol=1e-13, rtol=8.9e-16))
+    return float(_brent_root(objective, 0.0, r_hi, -0.5, f_hi))
 
 
 def screening_potential(Z: float, c: float, sol: TfSolution, x: float) -> float:

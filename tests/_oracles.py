@@ -3,16 +3,29 @@
 Test-suite-only: extended-precision (mpmath, 50 digits) re-derivations of
 the closed forms straight from their defining expressions, with none of the
 package's floating-point rearrangements, used to freeze expected values and
-to bound rounding error; and a Thomas-Fermi shooting classifier that checks
-the collocation solver's initial slope by a different method.
+to bound rounding error; a Thomas-Fermi shooting classifier that checks
+the collocation solver's initial slope by a different method; and the
+earlier scipy solve_bvp Thomas-Fermi solver, kept as a reference for the
+Chebyshev one.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from mpmath import mp, mpf, sqrt
-from scipy.integrate import solve_ivp
+from scipy.integrate import cumulative_simpson, simpson, solve_bvp, solve_ivp
+
+from relscott.thomas_fermi import (
+    _KINETIC_PREF,
+    DECAY_SIGMA,
+    PROFILE_X0,
+    PROFILE_X_FAR,
+    TF_LENGTH_B,
+    _asymptote_dphi,
+    _asymptote_phi,
+)
 
 mp.dps = 50
 
@@ -85,3 +98,55 @@ def shoot_classify(slope: float) -> int:
     if sol.t_events[1].size:
         return +1
     return 0
+
+
+def solve_tf_bvp(tol: float) -> tuple[float, float]:
+    """(initial slope, E_TF(1)) from scipy's solve_bvp on psi = ln(phi).
+
+    Collocation in v = sqrt(x) on a 4,001-node geometric mesh started from
+    Sommerfeld's profile, with the same Robin and power-law conditions as the
+    library; E_TF(1) from Simpson rules on a 30,001-point resample of the
+    collocation spline, with the same heads and tails.
+    """
+    bvp_tol = min(1e-7, max(1e-11, 0.01 * tol))
+    x_far = max(PROFILE_X_FAR, (144.0 / (5.0 * tol)) ** (1.0 / 3.0))
+    v0 = math.sqrt(PROFILE_X0)
+    v_far = math.sqrt(x_far)
+    x_end = v_far * v_far
+
+    def rhs(v, y, p):
+        return np.vstack([y[1], y[1] / v - y[1] * y[1] + 4.0 * v * np.exp(0.5 * y[0])])
+
+    def bc(ya, yb, p):
+        phi_end = _asymptote_phi(x_end, p[0])
+        return np.array([
+            math.exp(ya[0]) * (1.0 - 0.5 * v0 * ya[1]) - (1.0 - (2.0 / 3.0) * v0**3),
+            yb[0] - np.log(phi_end),
+            0.5 * v_far * yb[1] - x_end * _asymptote_dphi(x_end, p[0]) / phi_end,
+        ])
+
+    v_mesh = np.geomspace(v0, v_far, 4001 if x_far <= 3000.0 else 6001)
+    x_mesh = v_mesh * v_mesh
+    psi_g = np.log((1.0 + (x_mesh**3 / 144.0) ** (DECAY_SIGMA / 3.0)) ** (-3.0 / DECAY_SIGMA))
+    sol = solve_bvp(rhs, bc, v_mesh, np.vstack([psi_g, np.gradient(psi_g, v_mesh)]),
+                    p=[13.27], tol=bvp_tol, max_nodes=120_000)
+    assert sol.status == 0 or (sol.status == 1 and sol.rms_residuals.max() < 10.0 * bvp_tol)
+
+    v_nodes = sol.x
+    dphi0 = math.exp(sol.y[0][0]) * sol.y[1][0] / (2.0 * v_nodes[0])
+    slope = (dphi0 - 2.0 * v0) / (1.0 + v0**3)
+    vd = np.geomspace(v_nodes[0], v_nodes[-1], 30001)
+    xd = vd * vd
+    phid = np.exp(sol.sol(vd)[0])
+    x_far = float(v_nodes[-1] ** 2)
+    t_far = float(sol.p[0]) * x_far ** (-DECAY_SIGMA)
+    tail_a = (144.0 * (1.0 - t_far)) ** 1.5 / (4.0 * x_far**4)
+    tail_k = (144.0 * (1.0 - t_far)) ** 2.5 / (7.0 * x_far**7)
+    i_attr = simpson(2.0 * phid**1.5, x=vd) + 2.0 * v0 + slope * v0**3 + tail_a
+    i_kin = simpson(2.0 * phid**2.5, x=vd) + 2.0 * v0 + (5.0 / 3.0) * slope * v0**3 + tail_k
+    dq = 2.0 * phid**1.5 * vd * vd
+    q = cumulative_simpson(dq, x=vd, initial=0.0) + (2.0 / 3.0) * v0**3
+    o = cumulative_simpson((2.0 * phid**1.5)[::-1], x=-vd[::-1], initial=0.0)[::-1] + tail_a
+    i_rep = simpson(dq * (q / xd + o), x=vd) + (2.0 / 3.0) * v0**3 * (o[0] + v0) + tail_a
+    e_tf_1 = _KINETIC_PREF * i_kin - i_attr / TF_LENGTH_B + i_rep / (2.0 * TF_LENGTH_B)
+    return float(slope), float(e_tf_1)

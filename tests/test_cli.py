@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from importlib.resources import files
@@ -104,20 +105,38 @@ def test_tf_default_run():
 
 
 def test_import_does_not_load_scipy():
-    # scipy is imported inside the Thomas-Fermi functions, so commands that
-    # never solve the TF atom (shift, curve) do not pay for it
-    res = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, relscott, relscott.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
-        ],
-        capture_output=True,
-        text=True,
-    )
+    # numpy is the only runtime dependency: importing the package, the TF
+    # commands and the four field functions leave scipy unloaded
+    code = f"""
+import contextlib, io, sys
+import relscott
+from relscott.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["tf"], ["energy", "--Z", "80"], ["compare", "--nist", {SAMPLE!r}]):
+        assert main(argv) == 0
+sol = relscott.solve_tf(1e-8)
+relscott.density(8.0, sol)(0.5)
+relscott.mean_field(8.0, sol, 0.5)
+relscott.exchange_hole_radius(8.0, sol, 0.5)
+relscott.screening_potential(8.0, 137.0, sol, 68.5)
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"
+
+
+def test_tf_output_does_not_depend_on_blas_threads():
+    # the child processes alone get the thread settings
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        outputs.append([
+            run_cli(*argv, "--json", env=env).stdout
+            for argv in (["tf"], ["compare", "--nist", SAMPLE])
+        ])
+    assert all(outputs[0])
+    assert outputs[0] == outputs[1]
 
 
 def test_tf_rejects_out_of_range_tol():

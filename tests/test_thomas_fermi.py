@@ -15,11 +15,12 @@ from relscott import (
 )
 from relscott.thomas_fermi import (
     TF_LENGTH_B,
+    _brent_root,
     _charge_quadrature,
     _enclosed_charge,
 )
 
-from _oracles import shoot_classify
+from _oracles import shoot_classify, solve_tf_bvp
 
 BAKER_SLOPE = -1.5880710226113753  # literature value of phi'(0)
 
@@ -30,7 +31,7 @@ def test_energy_value(tf_solution):
 
 def test_initial_slope(tf_solution):
     assert tf_solution.initial_slope == pytest.approx(-1.5881, abs=1e-3)
-    assert tf_solution.initial_slope == pytest.approx(BAKER_SLOPE, abs=1e-8)
+    assert abs(tf_solution.initial_slope - BAKER_SLOPE) <= 1e-11
 
 
 def test_shooting_brackets_the_collocation_slope(tf_solution):
@@ -38,6 +39,19 @@ def test_shooting_brackets_the_collocation_slope(tf_solution):
     # overshoots (phi hits zero), 1e-8 above it undershoots (phi' turns up)
     assert shoot_classify(tf_solution.initial_slope - 1e-8) == -1
     assert shoot_classify(tf_solution.initial_slope + 1e-8) == +1
+
+
+def test_chebyshev_solver_matches_the_bvp_oracle():
+    # the earlier solve_bvp solver, now a test oracle, at the tightest tol
+    sol = solve_tf(1e-10)
+    slope, e_tf_1 = solve_tf_bvp(1e-10)
+    assert abs(sol.initial_slope - slope) <= 1e-11
+    assert abs(sol.e_tf_1 - e_tf_1) <= 1e-11
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8, 1e-10])
+def test_tol_bounds_the_slope_error(tol):
+    assert abs(solve_tf(tol).initial_slope - BAKER_SLOPE) <= tol
 
 
 def test_profile_shape(tf_solution):
@@ -222,6 +236,27 @@ def test_hole_radius_scaling(tf_solution):
     assert exchange_hole_radius(z, tf_solution, d) == pytest.approx(
         z ** (-1.0 / 3.0) * rhat, rel=1e-9
     )
+
+
+@pytest.mark.parametrize("z", [1.0, 8.0, 79.0])
+def test_brent_root_matches_scipy_brentq(tf_solution, z):
+    # same roots as scipy's brentq within 2 xtol, in at most two more
+    # evaluations (the in-module call is handed f(0) = -1/2 without one)
+    w, cw = _charge_quadrature(z, tf_solution)
+    for r in np.geomspace(1e-3, 100.0, 7):
+        calls = []
+
+        def objective(radius):
+            calls.append(radius)
+            return _enclosed_charge(w, cw, r, radius) - 0.5
+
+        hi = r + w[-1]
+        ref, info = brentq(objective, 0.0, hi, xtol=1e-13, rtol=8.9e-16, full_output=True)
+        calls.clear()
+        root = _brent_root(objective, 0.0, hi, -0.5, objective(hi))
+        assert abs(root - ref) <= 2e-13
+        assert len(calls) <= info.function_calls + 2
+        assert exchange_hole_radius(z, tf_solution, float(r)) == root
 
 
 def test_hole_radius_domain(tf_solution):
