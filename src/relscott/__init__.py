@@ -38,7 +38,6 @@ from .scott_shift import (
     SCHWINGER_COEFFICIENT,
     ScottCoefficient,
     ShiftResult,
-    ToleranceUnreachableError,
     ZetaIdentityCheck,
     schwinger_shift,
     schwinger_shift_bruteforce,
@@ -78,7 +77,6 @@ __all__ = [
     "ShiftResult",
     "TfConvergenceError",
     "TfSolution",
-    "ToleranceUnreachableError",
     "ZetaIdentityCheck",
     "channels_for_l",
     "comparison_table",

@@ -98,37 +98,17 @@ def difference_over_gamma2_kernel(gamma: float, principal, kappa_bar: float):
     n2 = n_pr * n_pr
     fs_shift = 2.0 * (n_pr - kappa_bar) * delta  # Delta = N^2 - fs_shift
     big = n2 - fs_shift
-    x = g2 / big
+    # 1 - x without rounding gamma^2 against N^2, which would cost the ground
+    # state digits as gamma -> 1
+    one_minus_x = ((n_pr - gamma) * (n_pr + gamma) - fs_shift) / big
     numer = -(fs_shift / (n2 * big) + g2 / (4.0 * n2 * n2))
-    denom = np.sqrt(1.0 - x) + 1.0 - g2 / (2.0 * n2)
+    denom = np.sqrt(one_minus_x) + 1.0 - g2 / (2.0 * n2)
     return numer / denom
 
 
 def difference_kernel(gamma: float, principal, kappa_bar: float):
     """lambda_D - lambda_S over an array of principal numbers (see above)."""
     return gamma * gamma * difference_over_gamma2_kernel(gamma, principal, kappa_bar)
-
-
-def tail_coefficients_reduced(gamma: float, kappa_bar):
-    """Exact leading 1/N coefficients of (lambda_D - lambda_S)/gamma^2.
-
-    (lambda_D - lambda_S)/gamma^2 = r3/N^3 + r4/N^4 + r5/N^5 + O(N^-6) with
-
-        r3 = -delta,
-        r4 = delta kb - 2 delta^2 - gamma^2/8,
-        r5 = 4 delta^2 s - gamma^2 delta / 2,
-
-    and the O(N^-6) residual uniformly ~1/N^6 in gamma < 1 (checked against a
-    50-digit reference).  The l-tail bound of scott_shift uses r5; kappa_bar
-    may be an array of channels.
-    """
-    g2 = gamma * gamma
-    s = np.sqrt((kappa_bar - gamma) * (kappa_bar + gamma))
-    delta = g2 / (kappa_bar + s)
-    r3 = -delta
-    r4 = delta * kappa_bar - 2.0 * delta * delta - g2 / 8.0
-    r5 = 4.0 * delta * delta * s - g2 * delta / 2.0
-    return r3, r4, r5
 
 
 def fine_structure_kernel(gamma: float, principal, kappa_bar: float):

@@ -12,14 +12,15 @@ Evaluation strategy (all pieces deterministic):
   * levels n >= _N_SERIES: sum_{k>=3} c_k zeta(k, l + _N_SERIES), the Taylor
     series of f(u) = (lambda_D - lambda_S)/gamma^2 in u = 1/N, cut at the
     smallest order whose proven remainder (|c_k| <= 0.12 4^k) fits tol;
-  * the l >= L remainder in the fine-structure model, summed exactly via the
-    double-sum zeta identity, with a computed bound on the model error (the
-    exact coefficient mismatches are gamma^6/(2 kb (kb+s)^2) at 1/N^3 and
-    3 gamma^6/(2 (kb+s)^2) at 1/N^4);
+  * the channels l >= L in closed form: the fine-structure model, summed
+    exactly via the double-sum zeta identity, plus -(gamma^4/4) (l + 1/2)^-4
+    per l, the leading part of what the model misses; the proven bound
+    C(gamma) (l + 1/2)^-6 on the rest (see _l_tail_bound_coefficient) sets L
+    directly;
   * totals by math.fsum, correctly rounded: no order or block size changes a bit.
 
 tail_estimate adds the series remainder bound, the l-remainder bound and a
-rounding floor; the acceptance suite certifies |true - returned| <= tail_estimate.
+rounding floor, so |true - returned| <= tail_estimate.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .hydrogenic import (
     _gamma_of,
     difference_over_gamma2_kernel,
     fine_structure_kernel,
-    tail_coefficients_reduced,
 )
 from .zeta import ZETA_2, ZETA_4, hurwitz_zeta, riemann_zeta
 
@@ -45,28 +45,17 @@ SCHWINGER_COEFFICIENT = riemann_zeta(3.0) - 5.0 * math.pi**2 / 24.0
 TOL_MIN = 1e-10
 TOL_MAX = 1e-2
 DEFAULT_TOL = 1e-8
-DEFAULT_TOL_NEAR_ONE = 1e-6  # gamma > 0.9: the j=1/2 channels converge slower
 
-_L_START = 8
-_L_CAP = 8192
+# the l-tail bound holds for l >= 8, where every kb >= 8
+_L_MIN = 8
 # levels n < _N_SERIES are summed directly, the rest by the Taylor series in 1/N
 _N_SERIES = 32
 # |f| <= _F_MAX on |u| = 1/4 (see _taylor_coefficients), so |c_k| <= _F_MAX 4^k
 _F_MAX = 0.12
 
-# safety factor on the c5-term bound covering the unmodelled N^-5+ mismatch
-# in the l-tail model-error estimate (validated in the test suite)
-_L_RESIDUAL_SAFETY = 1.25
-# l-values the residual bound may sum before it stops: l_count .. l_count + 513
-_L_WINDOW = 514
-
 # values per array of the blocked channel sums: rows = channels, so n columns
 # (levels, or series orders) give max(1, _BLOCK_ELEMENTS // n) channels a block
 _BLOCK_ELEMENTS = 1 << 13
-
-
-class ToleranceUnreachableError(RuntimeError):
-    """Raised when the residual bound cannot be driven below tol within caps."""
 
 
 @dataclass(frozen=True)
@@ -102,13 +91,13 @@ def _as_coupling(g: Coupling | float) -> Coupling:
     return g if isinstance(g, Coupling) else Coupling(float(g))
 
 
-def _channel_arrays(l_start: int, l_stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """l and kb of the channels l_start <= l < l_stop, in the canonical order:
+def _channel_arrays(l_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """l and kb of the channels l < l_count, in the canonical order:
     kb = 1 for l = 0, and kb = l, l + 1 for l >= 1."""
-    ls = np.arange(l_start, l_stop, dtype=float)
+    ls = np.arange(l_count, dtype=float)
     l = np.repeat(ls, np.where(ls > 0.0, 2, 1))
     kb = l + 1.0
-    kb[(1 if l_start == 0 else 0)::2] -= 1.0  # the first channel of each pair
+    kb[1::2] -= 1.0  # the first channel of each pair l >= 1
     return l, kb
 
 
@@ -135,11 +124,10 @@ def _taylor_coefficients(gamma: float, kb: np.ndarray, order: int) -> list[np.nd
         1/D = sum i_k u^k,  i_0 = 1, i_1 = 2 delta,
                             i_k = 2 delta i_{k-1} - 2 kb delta i_{k-2},
         h_k = -i_{k-2}/2 - (gamma^2/2) sum_{i=2}^{k-2} h_i h_{k-i},
-    h_2 = -1/2 is cancelled by u^2/2, and c_k = h_k for k >= 3 (c_3..c_5 are
-    hydrogenic.tail_coefficients_reduced).  The bound: delta <= 1 and
-    kb delta <= gamma^2 <= 1 give |D| >= 3/8 and |x| <= 1/6 on |u| = 1/4,
-    so f = -(u^2/2)(1 - D)/D + (sqrt(1 - x) - 1 + x/2)/gamma^2 has
-    |f| <= 5/96 + 1/240 < _F_MAX there.
+    h_2 = -1/2 is cancelled by u^2/2, and c_k = h_k for k >= 3.  The bound:
+    delta <= 1 and kb delta <= gamma^2 <= 1 give |D| >= 3/8 and |x| <= 1/6
+    on |u| = 1/4, so f = -(u^2/2)(1 - D)/D + (sqrt(1 - x) - 1 + x/2)/gamma^2
+    has |f| <= 5/96 + 1/240 < _F_MAX there.
     """
     g2 = gamma * gamma
     delta = g2 / (kb + np.sqrt((kb - gamma) * (kb + gamma)))
@@ -194,7 +182,7 @@ def direct_channel_sum(gamma: float, l_cut: int, n_cut: int) -> float:
     Exposes the monotone-refinement surface: every term is negative, so the
     partial sum is nonincreasing in both cutoffs.
     """
-    l, kb = _channel_arrays(0, l_cut + 1)
+    l, kb = _channel_arrays(l_cut + 1)
     sums = _weighted_channel_sums(difference_over_gamma2_kernel, gamma, l, kb, n_cut)
     return math.fsum(sums.tolist())
 
@@ -205,87 +193,80 @@ _FS_FULL_L_SUM = -2.0 * (ZETA_2 - riemann_zeta(3.0)) + 0.75 * (ZETA_2 - ZETA_4)
 
 
 def _l_tail_closed_form(gamma: float, l_count: int) -> float:
-    """Fine-structure-model value of the channels l >= l_count, all n.
+    """Value of the channels l >= l_count, all n: the fine-structure model
+    plus -(gamma^4/4) zeta(4, l_count + 1/2), the leading part of what the
+    model misses (see _l_tail_bound_coefficient).
 
     The complete-n channel pair at l >= 1 is
     sum_j (2j+1) sum_n fs(N)/gamma^4 = -2 zeta(3, l+1) + (3/4)(2l+1) zeta(4, l+1);
     the pairs l < l_count are subtracted from their closed-form total.
     """
+    g2 = gamma * gamma
     l = np.arange(1.0, l_count)
     terms = -2.0 * hurwitz_zeta(3.0, l + 1.0) + 0.75 * (2.0 * l + 1.0) * hurwitz_zeta(4.0, l + 1.0)
-    return gamma * gamma * (_FS_FULL_L_SUM - math.fsum(terms.tolist()))
+    fine_structure = g2 * (_FS_FULL_L_SUM - math.fsum(terms.tolist()))
+    return fine_structure - 0.25 * g2 * g2 * hurwitz_zeta(4.0, l_count + 0.5)
 
 
-def _l_tail_residual_bound(gamma: float, l_count: int) -> float:
-    """Bound on the fine-structure model error over channels l >= l_count >= 1.
+def _l_tail_bound_coefficient(gamma: float) -> float:
+    """C(gamma) = (gamma^4 + gamma^6)/3: |R(l) + (gamma^4/4) m^-4| <= C m^-6
+    for l >= 8, m = l + 1/2, where R(l) is what the fine-structure model
+    misses of the pair l (both j, all n, in s units).
 
-    Per channel and level the model misses exactly gamma^6/(2 kb (kb+s)^2) at
-    1/N^3 and 3 gamma^6/(2 (kb+s)^2) at 1/N^4, plus the c5/N^5 term (taken
-    with a safety factor); summed over n with Hurwitz zeta and over l with an
-    integral-comparison remainder (terms fall like l^-4).  The l-sum runs in
-    order until the term at l falls below 1e-4 of the running total (at least
-    8 steps, at most _L_WINDOW); the window is evaluated as arrays and the
-    running totals are a cumulative sum.
+    Per level, with w = gamma^2/kb^2 < 1/64 and t = N/kb >= 1,
+        kb^2 (lambda_D - lambda_S)/gamma^2 = phi(w, t)
+            = -(t - 1) d/(t^2 E) - w/(2 E^2 (1 + sqrt(1 - y))^2),
+        d = 1 - sqrt(1 - w),  E = t^2 - 2 (t - 1) d,  y = w/E.
+    d, 1/E, y and (1 - sqrt(1 - y))/y are series in w with coefficients
+    >= 0, so phi = sum_{j>=1} phi_j(t) w^j with every phi_j <= 0, and
+    sum_j |phi_j| = |phi(1, t)| <= 2 t^-3 (at w = 1, E >= t^2/2).  phi_1 w is
+    the fine-structure term, and with x = 1/t
+        phi_2 = -(2 + 6x - 12x^2 + 5x^3) x^3/16,
+        phi_3 = -(1 + 3x + x^2 - 15x^3 + 15x^4 - 35x^5/8) x^3/16,
+    the last bracket lying in [0.625, 1.74] on [0, 1].
+    (i) The gamma^4 term kb^-6 phi_2 gamma^4, summed over N > l and the
+    pair with weight 2kb, is gamma^4 P6(l), zk = zeta(k, l + 1),
+        P6 = -(1/8) [2 z3 (l^-2 + (l+1)^-2) + 6 z4 (l^-1 + (l+1)^-1)
+                     - 24 z5 + 10 m z6].
+    The midpoint Euler-Maclaurin brackets of the completely monotone x^-k,
+        zk = m^(1-k)/(k-1) - k m^(-1-k)/24 + theta_k 7k(k+1)(k+2) m^(-3-k)/5760
+    with 0 <= theta_k <= 1, make P6 = -m^-4/4 - (5/16) m^-6 + eps exactly,
+    eps being the theta terms, |eps| <= 0.767 m^-8; at m >= 8.5 that gives
+    |P6 + m^-4/4| <= 0.324 m^-6.
+    (ii) The rest, sum_{j>=3} phi_j w^j, is at most
+    |phi_3| w^3 + w^4 |phi(1, t)| <= (1.74/16 + 2/64) t^-3 w^3 <= 0.14 t^-3 w^3,
+    or 0.14 gamma^6 kb^-5 N^-3 per level.  With sum_{N>l} N^-3 <= m^-2/2
+    (convexity) and l^-4 + (l+1)^-4 <= 2.07 m^-4, the pair gets at most
+    0.29 gamma^6 m^-6.  So C = 0.324 gamma^4 + 0.29 gamma^6 would do, and
+    (gamma^4 + gamma^6)/3 is larger.
     """
     g2 = gamma * gamma
-    l, kb = _channel_arrays(l_count, l_count + _L_WINDOW)
-    s = np.sqrt((kb - gamma) * (kb + gamma))
-    sq = np.float_power(kb + s, 2.0)  # the C library's pow, as in zeta: keeps the pinned bits
-    m3 = g2 * g2 / (2.0 * kb * sq)  # gamma^6/... divided by gamma^2
-    m4 = 3.0 * g2 * g2 / (2.0 * sq)
-    _, _, r5 = tail_coefficients_reduced(gamma, kb)
-    a = l + 1.0
-    channel_terms = 2.0 * kb * (
-        m3 * hurwitz_zeta(3.0, a)
-        + m4 * hurwitz_zeta(4.0, a)
-        + _L_RESIDUAL_SAFETY * np.abs(r5) * hurwitz_zeta(5.0, a)
-    )
-    terms = channel_terms[0::2] + channel_terms[1::2]  # the pair (l, l+1) of each l >= 1
-    totals = np.cumsum(terms)
-    step = np.arange(_L_WINDOW)
-    stop = int(np.argmax(((step >= 8) & (terms < 1e-4 * totals)) | (step >= _L_WINDOW - 1)))
-    # integral-comparison bound on the rest
-    return float(totals[stop] + terms[stop] * (l_count + stop) / 3.0)
-
-
-def default_tolerance(gamma: float) -> float:
-    """Default shift tolerance: 1e-8, relaxed to 1e-6 for gamma > 0.9."""
-    return DEFAULT_TOL if gamma <= 0.9 else DEFAULT_TOL_NEAR_ONE
+    return g2 * g2 * (1.0 + g2) / 3.0
 
 
 def shift(g: Coupling | float, tol: float | None = None) -> ShiftResult:
     """Spectral shift s(gamma) with |true - returned| <= tail_estimate <= tol.
 
-    Below gamma of about 1e-154, gamma^2 underflows and the value is
-    subnormal (or 0); tail_estimate, at least the rounding floor, still
-    bounds the error.  Raises ToleranceUnreachableError if the l-residual
-    bound cannot be driven below tol within the channel cap, ValueError on
-    domain violations (gamma outside [0,1), tol outside [1e-10, 1e-2]).
+    tol defaults to DEFAULT_TOL.  Below gamma of about 1e-154, gamma^2
+    underflows and the value is subnormal (or 0); tail_estimate, at least the
+    rounding floor, still bounds the error.  Raises ValueError on domain
+    violations (gamma outside [0,1), tol outside [1e-10, 1e-2]).
     """
     coupling = _as_coupling(g)
     gamma = coupling.gamma
-    if tol is None:
-        tol = default_tolerance(gamma)
-    tol = float(tol)
+    tol = DEFAULT_TOL if tol is None else float(tol)
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
     if gamma == 0.0:
         return ShiftResult(coupling, 0.0, 0.0, 0, 0, tol)
 
-    l_count = _L_START
-    while True:
-        l_res = _l_tail_residual_bound(gamma, l_count)
-        if l_res <= 0.4 * tol:
-            break
-        l_count *= 2
-        if l_count > _L_CAP:
-            raise ToleranceUnreachableError(
-                f"l-channel residual bound {l_res:.3e} > 0.4*tol at the cap "
-                f"l_count={_L_CAP} (gamma={gamma}, tol={tol})"
-            )
+    # the l >= L error is at most C zeta(6, L + 1/2) <= C L^-5/5 <= 0.4 tol
+    c = _l_tail_bound_coefficient(gamma)
+    l_count = max(_L_MIN, math.ceil((c / (2.0 * tol)) ** 0.2))
+    l_res = c * hurwitz_zeta(6.0, l_count + 0.5)
     l_tail = _l_tail_closed_form(gamma, l_count)
 
-    l, kb = _channel_arrays(0, l_count)
+    l, kb = _channel_arrays(l_count)
     order, series_res = _series_order(kb, l + _N_SERIES, 0.9 * tol - l_res)
     direct = _weighted_channel_sums(difference_over_gamma2_kernel, gamma, l, kb, _N_SERIES - 1)
     series = _series_sums(gamma, l, kb, order)
@@ -323,7 +304,7 @@ def schwinger_shift_bruteforce(g: Coupling | float, l_max: int, n_max: int) -> f
     if gamma == 0.0:
         return 0.0
     g2 = gamma * gamma
-    l, kb = _channel_arrays(0, l_max + 1)
+    l, kb = _channel_arrays(l_max + 1)
     sums = _weighted_channel_sums(
         lambda g, p, k: fine_structure_kernel(g, p, k) / g2, gamma, l, kb, n_max
     )

@@ -37,7 +37,7 @@ def test_blocked_channel_sums_equal_channel_loop(block, monkeypatch):
         2.0 * kb * float(np.sum(difference_over_gamma2_kernel(gamma, n + l, kb)))
         for l, kb in _channels(l_count)
     ]
-    l, kb = scott_shift._channel_arrays(0, l_count)
+    l, kb = scott_shift._channel_arrays(l_count)
     sums = scott_shift._weighted_channel_sums(difference_over_gamma2_kernel, gamma, l, kb, n_cut)
     assert sums.tolist() == want
 
@@ -51,7 +51,7 @@ def test_blocked_series_sums_equal_channel_loop(block, monkeypatch):
         for l, kb in _channels(l_count)
     ]
     monkeypatch.setattr(scott_shift, "_BLOCK_ELEMENTS", block)
-    l, kb = scott_shift._channel_arrays(0, l_count)
+    l, kb = scott_shift._channel_arrays(l_count)
     assert scott_shift._series_sums(gamma, l, kb, order).tolist() == want
 
 
@@ -63,9 +63,9 @@ def test_shift_bits_do_not_depend_on_block_size(monkeypatch):
 
 
 def test_channel_arrays_follow_kappa_bars():
-    for l_start, l_stop in ((3, 9), (0, 4096)):
-        l, kb = scott_shift._channel_arrays(l_start, l_stop)
-        want = [(float(li), k) for li in range(l_start, l_stop) for k in kappa_bars(li)]
+    for l_count in (1, 2, 9, 4096):
+        l, kb = scott_shift._channel_arrays(l_count)
+        want = [(float(li), k) for li in range(l_count) for k in kappa_bars(li)]
         assert list(zip(l.tolist(), kb.tolist())) == want
 
 

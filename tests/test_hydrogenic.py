@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,12 @@ from relscott import (
     level_difference,
     schroedinger_level,
 )
-from relscott.hydrogenic import difference_kernel, dirac_lambda_kernel, fine_structure_kernel
+from relscott.hydrogenic import (
+    difference_kernel,
+    difference_over_gamma2_kernel,
+    dirac_lambda_kernel,
+    fine_structure_kernel,
+)
 
 from _oracles import coulomb_expectation_mp, level_difference_mp
 
@@ -184,6 +190,17 @@ def test_difference_against_50_digit_oracle():
         ref = float(level_difference_mp(g, n, l, j))
         got = level_difference(float(g), lvl(n, l, j))
         assert got == pytest.approx(ref, rel=1e-13), (g, n, l, j)
+
+
+def test_ground_state_difference_near_gamma_one():
+    # 1 - gamma^2/Delta is formed without rounding gamma^2 against N^2 = 1,
+    # so the ground state keeps full accuracy as gamma -> 1
+    gamma = 1.0 - 1e-8
+    got = float(difference_over_gamma2_kernel(gamma, 1.0, 1.0))
+    with mpmath.workdps(40):
+        g2 = mpmath.mpf(gamma) ** 2
+        want = float((mpmath.sqrt(1 - g2) - 1 + g2 / 2) / g2)
+    assert abs(got - want) <= 4 * np.finfo(float).eps * abs(want)
 
 
 def test_coulomb_expectation_against_50_digit_oracle():

@@ -18,7 +18,7 @@ from relscott import (
     zeta_double_sum_identity_check,
 )
 from relscott import scott_shift
-from relscott.hydrogenic import difference_over_gamma2_kernel, tail_coefficients_reduced
+from relscott.hydrogenic import difference_over_gamma2_kernel
 from relscott.quantum_numbers import kappa_bars
 from relscott.scott_shift import direct_channel_sum
 
@@ -126,6 +126,13 @@ def test_shift_negative_and_certified():
         assert res.l_max > 0 and res.n_max > 0
 
 
+def test_shift_default_tolerance_is_the_same_for_every_gamma():
+    for g in (0.5, 0.95, 0.9999):
+        res = shift(g)
+        assert res.target_tol == scott_shift.DEFAULT_TOL == 1e-8
+        assert res.tail_estimate <= 1e-8
+
+
 def test_shift_small_gamma_matches_schwinger():
     res = shift(0.01, 1e-10)
     assert res.value / 1e-4 == pytest.approx(-0.854, abs=2e-3)
@@ -222,7 +229,8 @@ def test_shift_against_extended_precision_reference():
 # value, tail_estimate (repr), l_max and n_max of shift() at the 12-step curve
 # gammas (tol 1e-8), the precise-workload lattice gammas (tol 1e-10) and
 # gamma 0.9999; each lies within the old and new tail estimates of the values
-# that the n-doubling evaluation gave; value and cutoffs must not move by a bit
+# that the earlier l-doubling evaluation gave; value and cutoffs must not move
+# by a bit
 SHIFT_PINS = json.loads((Path(__file__).parent / "data" / "shift_pins.json").read_text())
 
 
@@ -280,11 +288,8 @@ def test_channel_series_matches_mpmath(gamma, l, upper, order):
         remainder = 2 * kb * scott_shift._F_MAX * mpmath.fsum(
             4**k * mpmath.zeta(k, a) for k in range(order + 1, 200)
         )
-    # rounding: a few ulp of the channel sum, and in the ground state (kb = 1,
-    # n = 1) the rounding of gamma^2 inside sqrt(1 - gamma^2), which grows
-    # like eps/sqrt(1 - gamma^2) as gamma -> 1
-    eps = np.finfo(float).eps
-    rounding = 16 * eps * abs(float(ref)) + (eps / math.sqrt((1 - gamma) * (1 + gamma)) if l == 0 else 0.0)
+    # rounding: a few ulp of the channel sum, up to gamma -> 1
+    rounding = 16 * np.finfo(float).eps * abs(float(ref))
     assert abs(got - float(ref)) <= float(remainder) + rounding
 
 
@@ -299,10 +304,58 @@ def test_tail_estimates_contain_the_tightest_shift(gamma, tol):
 
 @pytest.mark.parametrize("gamma", [1e-3, 0.5, 0.9, 1.0 - 1e-9])
 def test_taylor_coefficients_open_with_the_tail_coefficients(gamma):
+    # c_3..c_8 of the recurrences against mpmath's Taylor coefficients of the
+    # exact level difference
     kb = np.array([1.0, 2.0, 7.0, 300.0])
-    c = scott_shift._taylor_coefficients(gamma, kb, 5)
-    for got, want in zip(c, tail_coefficients_reduced(gamma, kb)):
-        assert np.allclose(got, want, rtol=1e-13, atol=1e-16)
+    c = scott_shift._taylor_coefficients(gamma, kb, 8)
+    with mpmath.workdps(30):
+        want = [mpmath.taylor(lambda u: _mp_level_difference(gamma, k, u), 0, 8)[3:] for k in kb.tolist()]
+    for got, want_k in zip(c, np.array(want, dtype=float).T):
+        assert np.allclose(got, want_k, rtol=1e-13, atol=0.0)
+
+
+def _mp_pair_residual(gamma, l):
+    """What the fine-structure model misses of the pair l (both j, all n), in
+    s units, by mpmath nsum."""
+    g2 = mpmath.mpf(gamma) ** 2
+    total = 0
+    for kb in (l, l + 1):
+        def miss(n, kb=kb):
+            return _mp_level_difference(gamma, kb, 1 / n) + g2 / (2 * n**3) * (mpmath.mpf(1) / kb - 0.75 / n)
+        total += 2 * kb * mpmath.nsum(miss, [l + 1, mpmath.inf])
+    return total
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.9, 1.0 - 1e-9])
+def test_l_tail_bound_holds_for_the_pair_residual(gamma):
+    c = scott_shift._l_tail_bound_coefficient(gamma)
+    with mpmath.workdps(30):
+        for l in (8, 9, 16, 64):
+            m = mpmath.mpf(l) + 0.5
+            rest = _mp_pair_residual(gamma, l) + mpmath.mpf(gamma) ** 4 / 4 * m**-4
+            assert abs(rest) <= c * m**-6, l
+
+
+def test_l_tail_bound_pieces():
+    # the two steps of _l_tail_bound_coefficient: (i) |P6 + m^-4/4| <= 0.324 m^-6
+    # for l >= 8, and (ii) per level, the part of (lambda_D - lambda_S)/gamma^2
+    # past gamma^4 is at most 0.14 gamma^6 kb^-5 N^-3 for kb >= 8
+    with mpmath.workdps(30):
+        for l in [*range(8, 40), 100, 1000, 10**5]:
+            lo, hi, m = mpmath.mpf(l), mpmath.mpf(l + 1), mpmath.mpf(l) + 0.5
+            z3, z4, z5, z6 = (mpmath.zeta(k, hi) for k in (3, 4, 5, 6))
+            p6 = -(2 * z3 * (lo**-2 + hi**-2) + 6 * z4 * (1 / lo + 1 / hi) - 24 * z5 + 10 * m * z6) / 8
+            assert abs(p6 + m**-4 / 4) <= 0.324 * m**-6, l
+        for gamma in (0.3, 0.9, 1.0 - 1e-9):
+            g2 = mpmath.mpf(gamma) ** 2
+            for kb in (8, 9, 50):
+                for n_pr in (kb, kb + 1, 2 * kb, 3 * kb, 10 * kb, 1000 * kb):
+                    c1 = -(4 * n_pr - 3 * kb) / mpmath.mpf(8 * n_pr**4 * kb)
+                    c2 = -(2 * n_pr**3 + 6 * n_pr**2 * kb - 12 * n_pr * kb**2 + 5 * kb**3) / mpmath.mpf(
+                        16 * n_pr**6 * kb**3
+                    )
+                    rest = _mp_level_difference(gamma, kb, mpmath.mpf(1) / n_pr) - c1 * g2 - c2 * g2**2
+                    assert abs(rest) <= 0.14 * g2**3 / (mpmath.mpf(kb) ** 5 * n_pr**3), (gamma, kb, n_pr)
 
 
 def test_level_difference_bounded_on_the_cauchy_circle():
@@ -321,7 +374,7 @@ def test_level_difference_bounded_on_the_cauchy_circle():
 def test_series_order_bound_covers_the_cauchy_remainder():
     # the remainder bound _series_order returns is at least the Cauchy one,
     # 0.12 sum_{k>K} 4^k zeta(k, a) per channel with weight 2kb
-    l, kb = scott_shift._channel_arrays(0, 8)
+    l, kb = scott_shift._channel_arrays(8)
     a = l + scott_shift._N_SERIES
     for budget in (1e-3, 1e-8, 5e-11):
         order, bound = scott_shift._series_order(kb, a, budget)
