@@ -66,14 +66,17 @@ def _gamma_of(g: Coupling | float, *, closed_top: bool = False) -> float:
 # ---------------------------------------------------------------------------
 
 def dirac_lambda_kernel(gamma: float, principal, kappa_bar: float):
-    """lambda_D over an array of principal numbers N at fixed channel kb."""
+    """lambda_D over an array of principal numbers N at fixed channel kb
+    (1 - x formed as in difference_over_gamma2_kernel)."""
     n_pr = np.asarray(principal, dtype=float)
     g2 = gamma * gamma
     s = math.sqrt((kappa_bar - gamma) * (kappa_bar + gamma))
     delta = g2 / (kappa_bar + s)
-    big = n_pr * n_pr - 2.0 * (n_pr - kappa_bar) * delta
+    fs_shift = 2.0 * (n_pr - kappa_bar) * delta  # Delta = N^2 - fs_shift
+    big = n_pr * n_pr - fs_shift
     x = g2 / big
-    return -x / (1.0 + np.sqrt(1.0 - x))
+    one_minus_x = ((n_pr - gamma) * (n_pr + gamma) - fs_shift) / big
+    return -x / (1.0 + np.sqrt(one_minus_x))
 
 
 def difference_over_gamma2_kernel(gamma: float, principal, kappa_bar: float):

@@ -26,6 +26,7 @@ rounding floor, so |true - returned| <= tail_estimate.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -271,7 +272,7 @@ def shift(g: Coupling | float, tol: float | None = None) -> ShiftResult:
     direct = _weighted_channel_sums(difference_over_gamma2_kernel, gamma, l, kb, _N_SERIES - 1)
     series = _series_sums(gamma, l, kb, order)
     value = math.fsum((direct + series).tolist())
-    floor = 64.0 * np.finfo(float).eps * (1.0 + abs(value))  # rounding
+    floor = 64.0 * sys.float_info.epsilon * (1.0 + abs(value))  # rounding
     tail_estimate = series_res + l_res + floor
     return ShiftResult(coupling, value + l_tail, tail_estimate, l_count - 1, _N_SERIES - 1, tol)
 

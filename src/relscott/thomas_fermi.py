@@ -68,6 +68,12 @@ _NEWTON_MAX_STEPS = 30
 # columns of the node table: ln phi, d ln phi/dt, q(x), o(x)
 _PSI, _PSI_T, _CHARGE, _OUTER = range(4)
 
+# charge-table shells; the rounding of a moment formula per unit of its size,
+# and the share of its result that this may reach (see _ball_charge)
+_CHARGE_NODES = 20000
+_MOMENT_ROUNDING = 8.0 * 2.0**-53
+_MOMENT_RTOL = 2.0**-40
+
 
 class TfConvergenceError(RuntimeError):
     """Newton iteration on the collocation equations did not bring its step
@@ -192,20 +198,22 @@ class _NodeTable:
     values: np.ndarray  # (domains, degree + 1, 4), columns _PSI.._OUTER
 
     def __call__(self, x, column: int) -> np.ndarray:
-        """Barycentric interpolation of one column at x (array, inside the grid)."""
+        """Barycentric interpolation of one column at x (array, inside the
+        grid), row by row, so a point gets the same bits in any batch."""
         t = 0.5 * np.log(x)
-        domain = np.searchsorted(self.breaks[1:-1], t)
+        domain = self.breaks[1:-1].searchsorted(t)
         out = np.empty_like(t)
-        for k in np.unique(domain):
+        for k in np.unique(domain) if t.size > 1 else domain:
             sel = domain == k
             vals = self.values[k, :, column]
             gap = t[sel, None] - self.nodes[k]
             hit = gap == 0.0
             gap[hit] = 1.0
-            c = self.weights / gap
+            c = np.divide(self.weights, gap, out=gap)
             res = np.einsum("ij,j->i", c, vals) / c.sum(axis=1)
-            on_node = hit.any(axis=1)
-            res[on_node] = vals[hit[on_node].argmax(axis=1)]
+            if hit.any():
+                on_node = hit.any(axis=1)
+                res[on_node] = vals[hit[on_node].argmax(axis=1)]
             out[sel] = res
         return out
 
@@ -238,15 +246,18 @@ class TfSolution:
     def _piecewise(self, x, below, on_grid, above):
         """Evaluate below the grid, on it (interpolated) and above it."""
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
+        if x.size == 1:  # one point: evaluate just its piece
+            v = x.item()
+            piece = below if v < self.grid[0] else above if v > self.grid[-1] else on_grid
+            out = piece(x.reshape(1))
+            return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
         out = np.empty_like(x)
         lo = x < self.grid[0]
         hi = x > self.grid[-1]
         for part, evaluate in ((lo, below), (~(lo | hi), on_grid), (hi, above)):
             if part.any():
                 out[part] = evaluate(x[part])
-        return float(out[0]) if scalar else out
+        return out
 
     def phi_at(self, x) -> np.ndarray:
         """Profile phi(x) for any x > 0 (scalar or array)."""
@@ -298,7 +309,7 @@ class TfSolution:
         Trapezoid of phi^{3/2} sqrt(x) dx on a dense log grid; the weights
         integrate to 1.  Built on first use, once per solution.
         """
-        x = np.geomspace(PROFILE_X0, self.grid[-1], 20001)
+        x = np.geomspace(PROFILE_X0, self.grid[-1], _CHARGE_NODES + 1)
         phi = np.maximum(self.phi_at(x), 0.0)
         f = phi**1.5 * np.sqrt(x)
         w_mid = 0.5 * (x[:-1] + x[1:]) * TF_LENGTH_B
@@ -306,6 +317,27 @@ class TfSolution:
         w_mid.setflags(write=False)
         cw.setflags(write=False)
         return w_mid, cw
+
+    @cached_property
+    def _charge_moments(self):
+        """Prefix sums S0, Sm, Sp of cw, cw/w and cw w over the charge table.
+
+        Each starts at 0, so nodes i..j-1 hold S[j] - S[i].  A running sum
+        is corrected by the running sum of its own rounding errors, each
+        found exactly by Knuth's TwoSum, so S[j] is within u S[j] (u = 2^-53,
+        to first order) of the exact sum of its rounded terms; a plain
+        running sum would allow _CHARGE_NODES u.  No BLAS, so the bits do not
+        depend on the thread count.  Read-only, built once per solution.
+        """
+        w, cw = self._charge_table
+        moments = np.zeros((3, w.size + 1))
+        for prefix, terms in zip(moments, (cw, cw / w, cw * w)):
+            run = np.cumsum(terms)
+            before = np.concatenate(([0.0], run[:-1]))
+            added = run - before
+            prefix[1:] = run + np.cumsum((before - (run - added)) + (terms - added))
+        moments.setflags(write=False)
+        return moments
 
     def export_profile_csv(self, path) -> None:
         """Write the x,phi table (12 significant digits)."""
@@ -568,34 +600,62 @@ def mean_field(Z: float, sol: TfSolution, r) -> float | np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def _charge_quadrature(Z: float, sol: TfSolution):
-    """Nodes w_i (Hartree radius) and per-node charge weights at charge Z.
+def _shells(w, d: float, radius: float) -> tuple[int, int, int]:
+    """Ball (d, R): nodes below `inner` lie inside it (w <= R - d), nodes
+    lo..hi-1 cut its sphere (the window |R - d| < w < R + d)."""
+    lo = int(w.searchsorted(abs(radius - d), "right"))
+    return (lo if radius > d else 0), lo, int(w.searchsorted(radius + d))
 
-    The weights integrate to Z; used by the enclosed-charge and
-    hole-potential kernels.  Z enters only through the exact scaling
-    w = w_1 Z^(-1/3), weight = Z weight_1 of the solution's Z = 1 table.
+
+def _ball_charge(sol: TfSolution, d: float, radius: float) -> float:
+    """Charge of rho_1 in the ball of radius R centred at |x| = d > 0.
+
+    A window shell puts the share (R - d + w)(R + d - w)/(4 d w) of its
+    charge in the ball, so the window adds [(R^2 - d^2) dSm + 2d dS0 - dSp]/(4d),
+    dS its part of each moment, to the S0 of the shells inside.  With the
+    prefix sums (_charge_moments) exact to u, this
+    is within 8u M/(4d) of the quadrature, M = |R^2 - d^2| Sm + 2d S0 + Sp at
+    the window's top.  Where that exceeds 2^-40 of the result (terms cancel
+    for d << R, prefix differences where the window holds little of the
+    charge below it), the window, 2 min(d, R) wide, is summed directly; both
+    sides then subtract the nearer of R and d from w first, exactly where the
+    window is narrow.
     """
-    w_1, cw_1 = sol._charge_table
-    return w_1 * Z ** (-1.0 / 3.0), Z * cw_1
+    w, cw = sol._charge_table
+    s0, sm, sp = sol._charge_moments
+    inner, lo, hi = _shells(w, d, radius)
+    m = (radius - d) * (radius + d)
+    charge = s0[inner] + (m * (sm[hi] - sm[lo]) + 2.0 * d * (s0[hi] - s0[lo])
+                          - (sp[hi] - sp[lo])) / (4.0 * d)
+    size = abs(m) * sm[hi] + 2.0 * d * s0[hi] + sp[hi]
+    if _MOMENT_ROUNDING * size > _MOMENT_RTOL * 4.0 * d * abs(charge):
+        ww = w[lo:hi]
+        sides = (radius - (d - ww)) * ((max(radius, d) - ww) + min(radius, d))
+        charge = s0[inner] + np.sum(cw[lo:hi] * sides / ww) / (4.0 * d)
+    return float(charge)
 
 
-def _enclosed_charge(w_nodes, charge_w, d: float, radius: float) -> float:
-    """Charge of rho_Z inside the ball of given radius centered at |x| = d."""
-    if radius <= 0.0:
-        return 0.0
-    if d == 0.0:
-        return float(np.sum(charge_w[w_nodes <= radius]))
-    cos_t = (d * d + w_nodes * w_nodes - radius * radius) / (2.0 * d * w_nodes)
-    frac = np.clip(0.5 * (1.0 - cos_t), 0.0, 1.0)
-    return float(np.dot(frac, charge_w))
+def _ball_potential(sol: TfSolution, d: float, radius: float) -> float:
+    """int_{|y - x| <= R} rho_1(y)/|x - y| dy at |x| = d > 0.
 
-
-def _hole_potential(w_nodes, charge_w, d: float, radius: float) -> float:
-    """int_{|y - x| <= radius} rho_Z(y)/|x - y| dy at center distance d."""
-    lo = np.abs(d - w_nodes)
-    hi = np.minimum(d + w_nodes, radius)
-    seg = np.maximum(hi - lo, 0.0)
-    return float(np.dot(seg / (2.0 * w_nodes * d), charge_w))
+    Shells inside give charge/max(w, d): S0/d and dSm, within 3u Sm.  Window
+    shells give (R - |d - w|)/(2 w d), sums of dS0 and dSm within 8u M/(2d),
+    M = |R - d| Sm + (R + d) Sm + 2 S0, else summed as in _ball_charge.
+    """
+    w, cw = sol._charge_table
+    s0, sm, _ = sol._charge_moments
+    inner, lo, hi = _shells(w, d, radius)
+    below = int(w.searchsorted(d))  # shells with w < d
+    near, mid = min(inner, below), min(max(below, lo), hi)
+    inside = s0[near] / d + (sm[inner] - sm[near])
+    potential = inside + ((radius - d) * (sm[mid] - sm[lo]) + (s0[mid] - s0[lo])
+                          + (radius + d) * (sm[hi] - sm[mid]) - (s0[hi] - s0[mid])) / (2.0 * d)
+    size = abs(radius - d) * sm[mid] + (radius + d) * sm[hi] + 2.0 * s0[hi]
+    if _MOMENT_ROUNDING * size > _MOMENT_RTOL * 2.0 * d * abs(potential):
+        ww = w[lo:hi]
+        seg = np.minimum(radius - (d - ww), (max(radius, d) - ww) + min(radius, d))
+        potential = inside + np.sum(cw[lo:hi] * seg / ww) / (2.0 * d)
+    return float(potential)
 
 
 def _brent_root(f, a: float, b: float, fa: float, fb: float,
@@ -645,27 +705,28 @@ def _brent_root(f, a: float, b: float, fa: float, fb: float,
 def exchange_hole_radius(Z: float, sol: TfSolution, r: float) -> float:
     """Smallest radius whose ball centered at |x| = r holds TF charge 1/2.
 
-    Computed by Brent's method on the spherically averaged enclosed-charge
-    integral, which grows monotonically with the radius; satisfies the
-    scaling R_Z(r) = Z^{-1/3} R_1(Z^{1/3} r).
+    R_Z(r) = Z^{-1/3} R_1, where the Z = 1 ball centred at Z^{1/3} r holds
+    charge 1/(2Z); Brent's method finds R_1 on that enclosed charge, which
+    grows monotonically with the radius, in O(log n) per step (_ball_charge).
     """
     _require_positive(Z=Z, r=r)
     if Z < 0.5:
         raise InsufficientChargeError(
             f"total charge {Z} < 1/2: no half-charge ball exists"
         )
-    w_nodes, charge_w = _charge_quadrature(Z, sol)
-    r_hi = r + w_nodes[-1]
+    scale, target = Z ** (1.0 / 3.0), 0.5 / Z
+    d = r * scale
+    r_hi = d + float(sol._charge_table[0][-1])
 
     def objective(radius: float) -> float:
-        return _enclosed_charge(w_nodes, charge_w, r, radius) - 0.5
+        return _ball_charge(sol, d, radius) - target
 
     f_hi = objective(r_hi)
     if f_hi < 0.0:
         raise InsufficientChargeError(
-            f"quadrature charge cannot reach 1/2 within radius {r_hi}"
+            f"quadrature charge cannot reach 1/2 within radius {r_hi / scale}"
         )
-    return float(_brent_root(objective, 0.0, r_hi, -0.5, f_hi))
+    return _brent_root(objective, 0.0, r_hi, -target, f_hi) / scale
 
 
 def screening_potential(Z: float, c: float, sol: TfSolution, x: float) -> float:
@@ -673,13 +734,14 @@ def screening_potential(Z: float, c: float, sol: TfSolution, x: float) -> float:
 
     chi(x) = c^-2 * int_{|xt - y| > R_Z(xt)} rho_Z(y)/|xt - y| dy with
     xt = x/c in TF coordinates: the full Newton potential minus the
-    charge-1/2 hole ball contribution.  Satisfies
-    0 < chi(x) < c^-2 V_Z(x/c) and ||chi||_inf <= C Z^{4/3} c^-2.
+    charge-1/2 hole ball contribution, Z^{4/3} times that of the Z = 1 ball
+    (_ball_potential).  Satisfies 0 < chi(x) < c^-2 V_Z(x/c) and
+    ||chi||_inf <= C Z^{4/3} c^-2.
     """
     _require_positive(Z=Z, c=c, x=x)
     xt = x / c
+    scale = Z ** (1.0 / 3.0)
     radius = exchange_hole_radius(Z, sol, xt)
-    w_nodes, charge_w = _charge_quadrature(Z, sol)
-    hole = _hole_potential(w_nodes, charge_w, xt, radius)
+    hole = Z ** (4.0 / 3.0) * _ball_potential(sol, xt * scale, radius * scale)
     full = float(mean_field(Z, sol, xt))
     return (full - hole) / (c * c)

@@ -4,9 +4,10 @@ Test-suite-only: extended-precision (mpmath, 50 digits) re-derivations of
 the closed forms straight from their defining expressions, with none of the
 package's floating-point rearrangements, used to freeze expected values and
 to bound rounding error; a Thomas-Fermi shooting classifier that checks
-the collocation solver's initial slope by a different method; and the
+the collocation solver's initial slope by a different method; the
 earlier scipy solve_bvp Thomas-Fermi solver, kept as a reference for the
-Chebyshev one.
+Chebyshev one; and the full-table exchange-hole kernels, one pass over every
+charge-table node per call, kept as a reference for the moment kernels.
 """
 
 from __future__ import annotations
@@ -150,3 +151,58 @@ def solve_tf_bvp(tol: float) -> tuple[float, float]:
     i_rep = simpson(dq * (q / xd + o), x=vd) + (2.0 / 3.0) * v0**3 * (o[0] + v0) + tail_a
     e_tf_1 = _KINETIC_PREF * i_kin - i_attr / TF_LENGTH_B + i_rep / (2.0 * TF_LENGTH_B)
     return float(slope), float(e_tf_1)
+
+
+def charge_quadrature(Z: float, sol):
+    """Nodes w_i (Hartree radius) and per-node charge weights at charge Z.
+
+    The weights integrate to Z; Z enters through the exact scaling
+    w = w_1 Z^(-1/3), weight = Z weight_1 of the solution's Z = 1 table.
+    """
+    w_1, cw_1 = sol._charge_table
+    return w_1 * Z ** (-1.0 / 3.0), Z * cw_1
+
+
+def enclosed_charge(w_nodes, charge_w, d: float, radius: float) -> float:
+    """Charge inside the ball of given radius centred at |x| = d, node by node."""
+    if radius <= 0.0:
+        return 0.0
+    if d == 0.0:
+        return float(np.sum(charge_w[w_nodes <= radius]))
+    cos_t = (d * d + w_nodes * w_nodes - radius * radius) / (2.0 * d * w_nodes)
+    frac = np.clip(0.5 * (1.0 - cos_t), 0.0, 1.0)
+    return float(np.dot(frac, charge_w))
+
+
+def hole_potential(w_nodes, charge_w, d: float, radius: float) -> float:
+    """int_{|y - x| <= radius} rho(y)/|x - y| dy at centre distance d, node by node."""
+    lo = np.abs(d - w_nodes)
+    hi = np.minimum(d + w_nodes, radius)
+    seg = np.maximum(hi - lo, 0.0)
+    return float(np.dot(seg / (2.0 * w_nodes * d), charge_w))
+
+
+def ball_kernels_exact(w_nodes, charge_w, d: float, radius: float) -> tuple[float, float]:
+    """(enclosed_charge, hole_potential) from the same node-by-node
+    expressions in exact arithmetic.
+
+    Lengths times 2^100 are integers (asserted), so R^2 - (d - w)^2 and
+    min(d + w, R) - |d - w| are exact; each node's share is one correctly
+    rounded integer division and math.fsum adds the products, so both are
+    within 2u of the exact quadrature sums.  The float versions above lose
+    up to u w/d of a node's share when d << w.
+    """
+    scale = 2.0**100
+    dd, rr = int(d * scale), int(radius * scale)
+    assert dd == d * scale and rr == radius * scale
+    charge, hole = [], []
+    for w, c in zip((w_nodes * scale).tolist(), charge_w.tolist()):
+        ww = int(w)
+        assert ww == w
+        gap = abs(dd - ww)
+        den = 4 * dd * ww
+        charge.append(c * (min(max(rr * rr - gap * gap, 0), den) / den))
+        seg = min(dd + ww, rr) - gap
+        if seg > 0:
+            hole.append(c * ((seg << 101) / den))
+    return math.fsum(charge), math.fsum(hole)

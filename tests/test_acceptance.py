@@ -32,8 +32,9 @@ from relscott.hydrogenic import (
     dirac_lambda_kernel,
     fine_structure_kernel,
 )
-from relscott.thomas_fermi import TF_LENGTH_B, _charge_quadrature, _enclosed_charge
+from relscott.thomas_fermi import TF_LENGTH_B
 
+from _oracles import charge_quadrature, enclosed_charge
 from test_hydrogenic import FS_REMAINDER_ENVELOPE_C
 
 
@@ -258,11 +259,11 @@ def test_criterion_7_thomas_fermi_structure(tf_solution):
             np.all(density(z, sol)(rz) <= (2.0 * z / rz) ** 1.5 / (3.0 * np.pi**2) * (1 + 1e-12))
         )
 
-    w, cw = _charge_quadrature(1.0, sol)
+    w, cw = charge_quadrature(1.0, sol)
     hole_ok = True
     for d in (0.1, 1.0, 10.0):
         radius = exchange_hole_radius(1.0, sol, d)
-        hole_ok &= abs(_enclosed_charge(w, cw, d, radius) - 0.5) <= 1e-8
+        hole_ok &= abs(enclosed_charge(w, cw, d, radius) - 0.5) <= 1e-8
 
     chi_ok = True
     for x in np.geomspace(1e-3, 1e3, 13):

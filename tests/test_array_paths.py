@@ -1,5 +1,5 @@
-"""The array forms the channel sums run on agree bit for bit with scalar and
-per-channel evaluation."""
+"""The array forms the channel sums and the TF profile run on agree bit for
+bit with scalar and per-channel evaluation."""
 
 import numpy as np
 import pytest
@@ -109,3 +109,28 @@ def test_array_hurwitz_rejects_nonpositive_a(bad):
 def test_array_hurwitz_rejects_order_at_most_one(bad):
     with pytest.raises(ValueError, match=f"hurwitz_zeta requires s > 1, got s={bad}"):
         hurwitz_zeta(np.array([3.0, bad, 2.0]), 5.0)
+
+
+@pytest.mark.parametrize(
+    "name", ["phi_at", "dphi_at", "enclosed_profile_charge", "outer_profile_integral"]
+)
+def test_profile_scalar_equals_array(tf_solution, name):
+    # 50 points: below the grid, collocation nodes, the domain breaks, the
+    # grid ends, points between nodes, and above the grid
+    grid = tf_solution.grid
+    breaks = np.exp(2.0 * tf_solution._table.breaks)
+    rng = np.random.default_rng(7)
+    x = np.concatenate([
+        [0.1 * grid[0], 0.5 * grid[0]],
+        grid[[0, 1, 20, 33, 60, 95, 127, -2, -1]],
+        breaks,
+        np.geomspace(grid[0], grid[-1], 32)[1:-1] * (1.0 + 1e-3 * rng.random(30)),
+        [grid[-1] * (1.0 + 1e-9), 2.0 * grid[-1], 1e5, 1e7],
+    ])
+    assert x.size == 50
+    f = getattr(tf_solution, name)
+    together = f(x)
+    for xi, want in zip(x, together):
+        got = f(float(xi))
+        assert type(got) is float
+        assert got == want, (name, xi)

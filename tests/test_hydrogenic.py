@@ -24,7 +24,7 @@ from relscott.hydrogenic import (
     fine_structure_kernel,
 )
 
-from _oracles import coulomb_expectation_mp, level_difference_mp
+from _oracles import coulomb_expectation_mp, dirac_lambda_mp, level_difference_mp
 
 # Frozen 50-digit oracle values (tests/_oracles.py)
 DIRAC_G09_N1_L1_J32 = -0.10697144502541242
@@ -200,6 +200,16 @@ def test_ground_state_difference_near_gamma_one():
     with mpmath.workdps(40):
         g2 = mpmath.mpf(gamma) ** 2
         want = float((mpmath.sqrt(1 - g2) - 1 + g2 / 2) / g2)
+    assert abs(got - want) <= 4 * np.finfo(float).eps * abs(want)
+
+
+def test_dirac_ground_state_near_gamma_one():
+    # the same rearrangement in lambda_D itself; the oracle gets the binary
+    # gamma (a 50-digit mpf), not its shortest decimal 0.99999999, which
+    # moves lambda_D by 3.5e-13 at this slope
+    gamma = 1.0 - 1e-8
+    want = float(dirac_lambda_mp(mpmath.mpf(gamma), 1, 0, 0.5))
+    got = dirac_level(gamma, lvl(1, 0, 0.5))
     assert abs(got - want) <= 4 * np.finfo(float).eps * abs(want)
 
 

@@ -244,6 +244,13 @@ def test_shift_matches_pins(pin):
     assert res.tail_estimate <= pin["tol"]
 
 
+def test_shift_returns_python_floats():
+    for gamma, tol in ((0.0, 1e-8), (0.5, 1e-8), (0.9, 1e-10)):
+        res = shift(gamma, tol)
+        assert type(res.value) is float
+        assert type(res.tail_estimate) is float
+
+
 # gamma in [0, 1), with a share of draws within 1e-6 of 1
 GAMMAS = st.one_of(
     st.floats(0.0, 1.0, exclude_max=True),

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -15,12 +19,19 @@ from relscott import (
 )
 from relscott.thomas_fermi import (
     TF_LENGTH_B,
+    _ball_charge,
+    _ball_potential,
     _brent_root,
-    _charge_quadrature,
-    _enclosed_charge,
 )
 
-from _oracles import shoot_classify, solve_tf_bvp
+from _oracles import (
+    ball_kernels_exact,
+    charge_quadrature,
+    enclosed_charge,
+    hole_potential,
+    shoot_classify,
+    solve_tf_bvp,
+)
 
 BAKER_SLOPE = -1.5880710226113753  # literature value of phi'(0)
 
@@ -208,10 +219,27 @@ def test_mean_field_domain(tf_solution):
 
 
 def test_hole_radius_defining_property(tf_solution):
-    w, cw = _charge_quadrature(1.0, tf_solution)
-    for d in (0.05, 0.5, 1.0, 5.0, 60.0):
+    w, cw = charge_quadrature(1.0, tf_solution)
+    for d in (1e-9, 1e-6, 0.05, 0.5, 1.0, 5.0, 60.0):
         radius = exchange_hole_radius(1.0, tf_solution, d)
-        assert _enclosed_charge(w, cw, d, radius) == pytest.approx(0.5, abs=1e-8)
+        assert enclosed_charge(w, cw, d, radius) == pytest.approx(0.5, abs=1e-8)
+
+
+@pytest.mark.parametrize("d", [1e-9, 1e-5, 1e-3, 0.05, 1.0, 60.0, 3000.0])
+def test_moment_kernels_match_the_node_sums(tf_solution, d):
+    # the closed forms in the cumulative charge moments against node-by-node
+    # sums, at and around the half-charge radius
+    w, cw = tf_solution._charge_table
+    root = exchange_hole_radius(1.0, tf_solution, d)
+    for radius in (0.5 * root, root * (1 - 1e-6), root, root * (1 + 1e-6), 2.0 * root):
+        got_charge = _ball_charge(tf_solution, d, radius)
+        got_hole = _ball_potential(tf_solution, d, radius)
+        refs = [ball_kernels_exact(w, cw, d, radius)]
+        if d >= 1e-5:  # below, the float node sums lose up to u w/d of a share
+            refs.append((enclosed_charge(w, cw, d, radius), hole_potential(w, cw, d, radius)))
+        for charge, hole in refs:
+            assert abs(got_charge - charge) <= 1e-12
+            assert got_hole == pytest.approx(hole, rel=1e-10, abs=0.0)
 
 
 def test_hole_radius_monotone(tf_solution):
@@ -226,9 +254,9 @@ def test_hole_radius_scaling(tf_solution):
     # absolute charge 1/2 transforms the defining equation to
     # Z * enc_1(Z^{1/3} d, Z^{1/3} R_Z(d)) = 1/2
     z, d = 8.0, 0.5
-    w1, cw1 = _charge_quadrature(1.0, tf_solution)
+    w1, cw1 = charge_quadrature(1.0, tf_solution)
     rhat = brentq(
-        lambda rr: _enclosed_charge(w1, cw1, z ** (1.0 / 3.0) * d, rr) - 0.5 / z,
+        lambda rr: enclosed_charge(w1, cw1, z ** (1.0 / 3.0) * d, rr) - 0.5 / z,
         1e-8,
         2000.0,
         xtol=1e-13,
@@ -241,22 +269,25 @@ def test_hole_radius_scaling(tf_solution):
 @pytest.mark.parametrize("z", [1.0, 8.0, 79.0])
 def test_brent_root_matches_scipy_brentq(tf_solution, z):
     # same roots as scipy's brentq within 2 xtol, in at most two more
-    # evaluations (the in-module call is handed f(0) = -1/2 without one)
-    w, cw = _charge_quadrature(z, tf_solution)
+    # evaluations (the in-module call is handed f(0) = -target without
+    # one); the objective is the Z = 1 ball charge at d = Z^(1/3) r
+    scale = z ** (1.0 / 3.0)
+    target = 0.5 / z
     for r in np.geomspace(1e-3, 100.0, 7):
+        d = float(r) * scale
         calls = []
 
         def objective(radius):
             calls.append(radius)
-            return _enclosed_charge(w, cw, r, radius) - 0.5
+            return _ball_charge(tf_solution, d, radius) - target
 
-        hi = r + w[-1]
+        hi = d + float(tf_solution._charge_table[0][-1])
         ref, info = brentq(objective, 0.0, hi, xtol=1e-13, rtol=8.9e-16, full_output=True)
         calls.clear()
-        root = _brent_root(objective, 0.0, hi, -0.5, objective(hi))
+        root = _brent_root(objective, 0.0, hi, -target, objective(hi))
         assert abs(root - ref) <= 2e-13
         assert len(calls) <= info.function_calls + 2
-        assert exchange_hole_radius(z, tf_solution, float(r)) == root
+        assert exchange_hole_radius(z, tf_solution, float(r)) == root / scale
 
 
 def test_hole_radius_domain(tf_solution):
@@ -311,6 +342,24 @@ def test_screening_c_scaling(tf_solution):
     a = screening_potential(1.0, 2.0, tf_solution, x)
     b = screening_potential(1.0, 1.0, tf_solution, x / 2.0) / 4.0
     assert a == pytest.approx(b, rel=1e-12)
+
+
+def test_hole_fields_do_not_depend_on_blas_threads():
+    # the child processes alone get the thread settings
+    code = """
+import relscott
+sol = relscott.solve_tf(1e-8)
+for z, r in ((1.0, 0.02), (8.0, 0.5), (47.0, 2.0), (92.0, 10.0)):
+    print(repr(relscott.exchange_hole_radius(z, sol, r)),
+          repr(relscott.screening_potential(z, 137.0, sol, 137.0 * r)))
+"""
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        outputs.append(res.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_screening_domain(tf_solution):
