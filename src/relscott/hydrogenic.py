@@ -29,10 +29,12 @@ from .quantum_numbers import LevelIndex
 # package use this alias to mark the unit in signatures.
 EnergyHa: TypeAlias = float
 
-# Envelope constant for the magnitude of lambda_D - lambda_S:
-#   |difference| <= C * gamma^4 / (N^3 * max(l, 1)).
-# Fitted once over gamma in {0.1,...,0.9,0.99,0.9999}, n+l <= 1e3 (observed
-# max 1.32 at gamma=0.9999, l=0) and frozen with margin.
+# Envelope constant: |lambda_D - lambda_S| <= C * gamma^4 / (N^3 * max(l, 1)).
+# C = 2 is proven for gamma <= 1: |phi(w, t)| <= w |phi(1, t)| <= 2 w t^-3
+# (scott_shift._l_tail_bound_coefficient) with w = gamma^2/kb^2, t = N/kb
+# gives 2 gamma^4/(kb N^3), and kb >= max(l, 1).  The tests check the
+# empirical 1.5: the largest ratio seen (l < 60, N < l + 2000, gamma up to
+# 1 - 1e-12) is 1.35.
 LEVEL_DIFFERENCE_ENVELOPE_C = 1.5
 
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -65,14 +64,23 @@ _DEGREE = 32
 _NEWTON_STEP_TOL = 1e-10
 _NEWTON_MAX_STEPS = 30
 
-# columns of the node table: ln phi, d ln phi/dt, q(x), o(x)
-_PSI, _PSI_T, _CHARGE, _OUTER = range(4)
+# columns of the node table: ln phi, d ln phi/dt, q(x), o(x) and the
+# moments p(x) = int_0^x t dq and its rest int_x^inf t dq; lookups
+# (_NodeTable, TfSolution._columns) return phi and phi' in the first two
+_PSI, _PSI_T, _CHARGE, _OUTER, _MOMENT, _MOMENT_REST = range(6)
+_PHI, _DPHI = _PSI, _PSI_T
 
-# charge-table shells; the rounding of a moment formula per unit of its size,
-# and the share of its result that this may reach (see _ball_charge)
-_CHARGE_NODES = 20000
-_MOMENT_ROUNDING = 8.0 * 2.0**-53
-_MOMENT_RTOL = 2.0**-40
+# ball fields (see _ball_charge): a closed form's rounding per unit of its
+# terms' size, the share of its result this may reach, and the 8-point
+# Gauss-Legendre rule beyond (positive half on [-1, 1]; all of it on [0, 1])
+_ROUNDING = 8.0 * 2.0**-53
+_CLOSED_FORM_RTOL = 2.0**-40
+_GAUSS = np.array([[0.18343464249564978, 0.36268378337836166],
+                   [0.525532409916329, 0.3137066458778869],
+                   [0.7966664774136267, 0.22238103445337443],
+                   [0.9602898564975362, 0.10122853629037706]])
+_GAUSS_X = 0.5 + 0.5 * np.concatenate((-_GAUSS[::-1, 0], _GAUSS[:, 0]))
+_GAUSS_W = 0.5 * np.concatenate((_GAUSS[::-1, 1], _GAUSS[:, 1]))
 
 
 class TfConvergenceError(RuntimeError):
@@ -86,8 +94,18 @@ class InsufficientChargeError(ValueError):
 
 def _require_positive(**values: float) -> None:
     for name, value in values.items():
-        if not value > 0.0:
-            raise ValueError(f"{name} must be positive, got {value}")
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _elementwise(values, requirement: str, f):
+    """f over the flattened values, which must be positive and finite: a
+    float for a scalar, else an array of the input's shape."""
+    x = np.asarray(values, dtype=float)
+    if not np.all((x > 0.0) & (x < math.inf)):
+        raise ValueError(requirement)
+    out = f(x.reshape(-1))
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def _series_phi(x, slope: float):
@@ -98,6 +116,11 @@ def _series_phi(x, slope: float):
 def _series_dphi(x, slope: float):
     x = np.asarray(x, dtype=float)
     return slope + 2.0 * np.sqrt(x) + slope * x**1.5
+
+
+def _head_moments(x, slope: float):
+    """q(x) and p(x) = int_0^x t dq from phi^{3/2} = 1 + (3/2) slope x."""
+    return ((2.0 / 3.0) + 0.6 * slope * x) * x**1.5, (0.4 + (3.0 / 7.0) * slope * x) * x**2.5
 
 
 def _decay_factor(tau):
@@ -120,6 +143,18 @@ def _asymptote_dphi(x, coeff: float):
     x = np.asarray(x, dtype=float)
     u, du = _decay_factor(coeff * x ** (-DECAY_SIGMA))[:2]
     return 144.0 / x**4 * (-3.0 * u + du)
+
+
+def _asymptote_moment(x, coeff: float):
+    """int_x^inf t^{3/2} phi^{3/2} dt of the decay, u^{3/2} to order tau^2."""
+    tau = coeff * x ** (-DECAY_SIGMA)
+    return 1728.0 / x**2 * (0.5 - 1.5 * tau / (2.0 + DECAY_SIGMA)
+                            + (1.5 * _ASYMP_A2 + 0.375) * tau * tau / (2.0 + 2.0 * DECAY_SIGMA))
+
+
+def _sommerfeld_psi(x):
+    """ln phi of Sommerfeld's closed form (1 + (x^3/144)^(sigma/3))^(-3/sigma)."""
+    return -(3.0 / DECAY_SIGMA) * np.log1p((x**3 / 144.0) ** (DECAY_SIGMA / 3.0))
 
 
 def _lobatto(n: int):
@@ -190,31 +225,34 @@ def _per_domain(matrix, values):
 
 @dataclass(frozen=True, eq=False)
 class _NodeTable:
-    """Columns tabulated at the Chebyshev nodes of each domain in t = ln sqrt(x)."""
+    """Columns tabulated at the Chebyshev nodes of each domain in ln x."""
 
-    breaks: np.ndarray  # (domains + 1,) domain ends in t
-    nodes: np.ndarray  # (domains, degree + 1) node positions in t
+    breaks: np.ndarray  # (domains + 1,) domain ends in ln x
+    nodes: np.ndarray  # (domains, degree + 1) node positions in ln x
     weights: np.ndarray  # (degree + 1,) barycentric weights
-    values: np.ndarray  # (domains, degree + 1, 4), columns _PSI.._OUTER
+    values: np.ndarray  # (domains, 7, degree + 1): _PSI.._MOMENT_REST, then ones
 
-    def __call__(self, x, column: int) -> np.ndarray:
-        """Barycentric interpolation of one column at x (array, inside the
-        grid), row by row, so a point gets the same bits in any batch."""
-        t = 0.5 * np.log(x)
-        domain = self.breaks[1:-1].searchsorted(t)
-        out = np.empty_like(t)
-        for k in np.unique(domain) if t.size > 1 else domain:
-            sel = domain == k
-            vals = self.values[k, :, column]
-            gap = t[sel, None] - self.nodes[k]
-            hit = gap == 0.0
+    def __call__(self, x) -> np.ndarray:
+        """Barycentric interpolation of every column at x (1-d, inside the
+        grid), phi and phi' in place of ln phi and its slope: (x.size, 6).
+        The row of ones sums to the denominator.  Each point's row is summed
+        on its own, without BLAS: the same bits in any batch or thread count."""
+        s = np.log(x)
+        domain = self.breaks[1:-1].searchsorted(s)
+        gap = s[:, None] - self.nodes.take(domain, axis=0)
+        hit = gap == 0.0
+        on_node = np.count_nonzero(hit)
+        if on_node:
             gap[hit] = 1.0
-            c = np.divide(self.weights, gap, out=gap)
-            res = np.einsum("ij,j->i", c, vals) / c.sum(axis=1)
-            if hit.any():
-                on_node = hit.any(axis=1)
-                res[on_node] = vals[hit[on_node].argmax(axis=1)]
-            out[sel] = res
+        vals = self.values.take(domain, axis=0)
+        sums = np.einsum("ij,ikj->ik", np.divide(self.weights, gap, out=gap), vals)
+        out = sums[:, :-1] / sums[:, -1:]
+        if on_node:
+            rows, cols = np.nonzero(hit)
+            out[rows] = vals[rows, :-1, cols]
+        phi = np.exp(out[:, _PSI], out=out[:, _PHI])
+        np.multiply(phi, out[:, _PSI_T], out=out[:, _DPHI])
+        out[:, _DPHI] /= 2.0 * x
         return out
 
 
@@ -225,10 +263,11 @@ class TfSolution:
     grid/phi/dphi hold phi(x) and phi'(x) at the collocation nodes: the
     Chebyshev-Lobatto points of each domain in t = ln sqrt(x), each domain
     end once, from PROFILE_X0 out to a far end chosen so the endpoint value
-    sits below 10*tol.  phi_at and dphi_at interpolate the same polynomials
-    barycentrically between nodes (series below the grid, fitted power-law
-    decay above).  Energies are Hartree at Z = 1.  Instances are immutable
-    (arrays are read-only) and identity-hashed.
+    sits below 10*tol.  A node table adds q(x), o(x), int_0^x t dq and
+    int_x^inf t dq; every profile function, field and hole quantity reads all
+    columns in one barycentric lookup (series below the grid, fitted
+    power-law decay above).  Energies are Hartree at Z = 1.  Instances are
+    immutable (arrays are read-only) and identity-hashed.
     """
 
     initial_slope: float
@@ -243,101 +282,49 @@ class TfSolution:
     solver_tol: float
     _table: _NodeTable
 
-    def _piecewise(self, x, below, on_grid, above):
-        """Evaluate below the grid, on it (interpolated) and above it."""
-        x = np.asarray(x, dtype=float)
-        if x.size == 1:  # one point: evaluate just its piece
-            v = x.item()
-            piece = below if v < self.grid[0] else above if v > self.grid[-1] else on_grid
-            out = piece(x.reshape(1))
-            return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
-        out = np.empty_like(x)
-        lo = x < self.grid[0]
-        hi = x > self.grid[-1]
-        for part, evaluate in ((lo, below), (~(lo | hi), on_grid), (hi, above)):
-            if part.any():
-                out[part] = evaluate(x[part])
+    def _columns(self, x) -> np.ndarray:
+        """Columns _PHI.._MOMENT_REST at each x >= 0 of a 1-d array: (x.size, 6),
+        by the node table on the grid, the series head below it (o = -phi')
+        and the power-law decay above it (q = 1 - (phi - x phi'), o = -phi')."""
+        below, above = x < self.grid[0], x > self.grid[-1]
+        n_below, n_above = np.count_nonzero(below), np.count_nonzero(above)
+        if not (n_below or n_above):
+            return self._table(x)
+        out = np.empty((x.size, 6))
+        on_grid = ~(below | above)
+        out[on_grid] = self._table(x[on_grid])
+        if n_below:
+            t, slope, first = x[below], self.initial_slope, self._table.values[0, :, 0]
+            dphi, (q, p) = _series_dphi(t, slope), _head_moments(t, slope)
+            p_total = first[_MOMENT] + first[_MOMENT_REST]
+            out[below] = np.stack([_series_phi(t, slope), dphi, q, -dphi, p, p_total - p], -1)
+        if n_above:
+            t, coeff, last = x[above], self.asymptote_coefficient, self._table.values[-1, :, -1]
+            phi, dphi = _asymptote_phi(t, coeff), _asymptote_dphi(t, coeff)
+            rest = _asymptote_moment(t, coeff)
+            p_total = last[_MOMENT] + last[_MOMENT_REST]
+            q = 1.0 - (phi - t * dphi)
+            out[above] = np.stack([phi, dphi, q, -dphi, p_total - rest, rest], axis=-1)
         return out
 
     def phi_at(self, x) -> np.ndarray:
         """Profile phi(x) for any x > 0 (scalar or array)."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0.0):
-            raise ValueError("phi_at requires x > 0")
-        return self._piecewise(
-            x,
-            lambda t: _series_phi(t, self.initial_slope),
-            lambda t: np.exp(self._table(t, _PSI)),
-            lambda t: _asymptote_phi(t, self.asymptote_coefficient),
-        )
+        return _elementwise(x, "phi_at requires finite x > 0", lambda t: self._columns(t)[:, _PHI])
 
     def dphi_at(self, x) -> np.ndarray:
         """Profile derivative phi'(x) for any x > 0."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0.0):
-            raise ValueError("dphi_at requires x > 0")
-        return self._piecewise(
-            x,
-            lambda t: _series_dphi(t, self.initial_slope),
-            lambda t: np.exp(self._table(t, _PSI)) * self._table(t, _PSI_T) / (2.0 * t),
-            lambda t: _asymptote_dphi(t, self.asymptote_coefficient),
-        )
+        return _elementwise(x, "dphi_at requires finite x > 0",
+                            lambda t: self._columns(t)[:, _DPHI])
 
     def enclosed_profile_charge(self, x) -> np.ndarray:
         """q(x) = int_0^x phi^{3/2} sqrt(t) dt; q(inf) = 1 (charge fraction)."""
-        return self._piecewise(
-            x,
-            lambda t: (2.0 / 3.0) * t**1.5,
-            lambda t: self._table(t, _CHARGE),
-            lambda t: 1.0 - (self.phi_at(t) - t * self.dphi_at(t)),
-        )
+        return _elementwise(x, "enclosed_profile_charge requires finite x > 0",
+                            lambda t: self._columns(t)[:, _CHARGE])
 
     def outer_profile_integral(self, x) -> np.ndarray:
         """o(x) = int_x^inf phi^{3/2} t^{-1/2} dt = -phi'(x) for the exact profile."""
-        o0 = self._table.values[0, 0, _OUTER]
-        return self._piecewise(
-            x,
-            lambda t: o0 + 2.0 * (np.sqrt(self.grid[0]) - np.sqrt(t)),
-            lambda t: self._table(t, _OUTER),
-            lambda t: -self.dphi_at(t),
-        )
-
-    @cached_property
-    def _charge_table(self):
-        """Z = 1 charge quadrature: nodes w_i (Hartree radius) and weights.
-
-        Trapezoid of phi^{3/2} sqrt(x) dx on a dense log grid; the weights
-        integrate to 1.  Built on first use, once per solution.
-        """
-        x = np.geomspace(PROFILE_X0, self.grid[-1], _CHARGE_NODES + 1)
-        phi = np.maximum(self.phi_at(x), 0.0)
-        f = phi**1.5 * np.sqrt(x)
-        w_mid = 0.5 * (x[:-1] + x[1:]) * TF_LENGTH_B
-        cw = 0.5 * (f[:-1] + f[1:]) * np.diff(x)
-        w_mid.setflags(write=False)
-        cw.setflags(write=False)
-        return w_mid, cw
-
-    @cached_property
-    def _charge_moments(self):
-        """Prefix sums S0, Sm, Sp of cw, cw/w and cw w over the charge table.
-
-        Each starts at 0, so nodes i..j-1 hold S[j] - S[i].  A running sum
-        is corrected by the running sum of its own rounding errors, each
-        found exactly by Knuth's TwoSum, so S[j] is within u S[j] (u = 2^-53,
-        to first order) of the exact sum of its rounded terms; a plain
-        running sum would allow _CHARGE_NODES u.  No BLAS, so the bits do not
-        depend on the thread count.  Read-only, built once per solution.
-        """
-        w, cw = self._charge_table
-        moments = np.zeros((3, w.size + 1))
-        for prefix, terms in zip(moments, (cw, cw / w, cw * w)):
-            run = np.cumsum(terms)
-            before = np.concatenate(([0.0], run[:-1]))
-            added = run - before
-            prefix[1:] = run + np.cumsum((before - (run - added)) + (terms - added))
-        moments.setflags(write=False)
-        return moments
+        return _elementwise(x, "outer_profile_integral requires finite x > 0",
+                            lambda t: self._columns(t)[:, _OUTER])
 
     def export_profile_csv(self, path) -> None:
         """Write the x,phi table (12 significant digits)."""
@@ -376,7 +363,7 @@ def _collocation_solve(t_nodes, diff):
     diff2 = np.einsum("kij,kjl->kil", diff, diff)
     far_decay = x_end ** (-DECAY_SIGMA)
 
-    psi = -(3.0 / DECAY_SIGMA) * np.log1p((x**3 / 144.0) ** (DECAY_SIGMA / 3.0))
+    psi = _sommerfeld_psi(x)
     tau = 13.27 * far_decay
     unknowns = domains * size + 1
     last = unknowns - 2  # row and column of psi at the far end
@@ -473,17 +460,28 @@ def solve_tf(tol: float = 1e-8) -> TfSolution:
     tail_a = (144.0 * (1.0 - tau_end)) ** 1.5 / (4.0 * x_end**4)
     tail_k = (144.0 * (1.0 - tau_end)) ** 2.5 / (7.0 * x_end**7)
 
-    # q(x) from the origin, o(x) from infinity, summed across domains
-    q_part = cumulative(d_charge)
-    o_part = cumulative(d_attr, integ[::-1, ::-1])
-    q_before = np.concatenate(([0.0], np.cumsum(q_part[:-1, -1])))
-    o_after = np.concatenate((np.cumsum(o_part[:0:-1, 0])[::-1], [0.0]))
-    q_nodes = q_part + q_before[:, None] + (2.0 / 3.0) * v0**3
-    o_nodes = o_part + o_after[:, None] + tail_a
+    # o(x) and the rest of p, int_x^inf t dq, from infinity, summed across
+    # domains
+    def from_infinity(f, tail):
+        part = cumulative(f, integ[::-1, ::-1])
+        return part + np.concatenate((np.cumsum(part[:0:-1, 0])[::-1], [0.0]))[:, None] + tail
+
+    o_nodes = from_infinity(d_attr, tail_a)
+    p_rest = from_infinity(d_charge * x, _asymptote_moment(x_end, coeff_f))
 
     # phi'(x0) = -o(x0): the ODE integrated from x0 out, with the series
     # phi' = s + 2 sqrt(x) + s x^{3/2} below it
     slope = float(-(o_nodes[0, 0] + 2.0 * v0) / (1.0 + v0**3))
+
+    # q(x) and p(x) = int_0^x t dq from the origin, with the heads of
+    # phi^{3/2} = 1 + (3/2) s x below x0
+    def from_origin(f, head):
+        part = cumulative(f)
+        return part + np.concatenate(([0.0], np.cumsum(part[:-1, -1])))[:, None] + head
+
+    q_head, p_head = _head_moments(v0 * v0, slope)
+    q_nodes = from_origin(d_charge, q_head)
+    p_nodes = from_origin(d_charge * x, p_head)
 
     # I_A and I_K: head below x0 analytic, tail past x_end power law
     i_attr = total(d_attr) + 2.0 * v0 + slope * v0**3 + tail_a
@@ -504,8 +502,9 @@ def solve_tf(tol: float = 1e-8) -> TfSolution:
     keep[1:, 0] = False
     grid, phi_arr = x[keep], phi[keep]
     dphi_arr = (phi * psi_t / (2.0 * x))[keep]
-    values = np.stack([psi, psi_t, q_nodes, o_nodes], axis=-1)
-    for arr in (grid, phi_arr, dphi_arr, breaks, t, weights, values):
+    values = np.stack([psi, psi_t, q_nodes, o_nodes, p_nodes, p_rest, np.ones_like(psi)], axis=1)
+    table = _NodeTable(2.0 * breaks, 2.0 * t, weights, values)
+    for arr in (grid, phi_arr, dphi_arr, table.breaks, table.nodes, weights, values):
         arr.setflags(write=False)
 
     return TfSolution(
@@ -519,7 +518,7 @@ def solve_tf(tol: float = 1e-8) -> TfSolution:
         repulsion_1=float(repulsion),
         asymptote_coefficient=float(coeff_f),
         solver_tol=tol,
-        _table=_NodeTable(breaks, t, weights, values),
+        _table=table,
     )
 
 
@@ -562,16 +561,12 @@ class RadialDensity:
         self._sol = sol
 
     def __call__(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if np.any(r <= 0.0):
-            raise ValueError("density requires r > 0")
-        scalar = r.ndim == 0
-        w = np.atleast_1d(self.Z ** (1.0 / 3.0) * r)
-        x = w / TF_LENGTH_B
-        phi = np.maximum(self._sol.phi_at(x), 0.0)
-        rho1 = (2.0 * phi / w) ** 1.5 / (3.0 * math.pi**2)
-        out = self.Z**2 * rho1
-        return float(out[0]) if scalar else out
+        def rho(r):
+            w = self.Z ** (1.0 / 3.0) * r
+            phi = np.maximum(self._sol._columns(w / TF_LENGTH_B)[:, _PHI], 0.0)
+            return self.Z**2 * ((2.0 * phi / w) ** 1.5 / (3.0 * math.pi**2))
+
+        return _elementwise(r, "density requires finite r > 0", rho)
 
 
 def density(Z: float, sol: TfSolution) -> RadialDensity:
@@ -587,161 +582,163 @@ def mean_field(Z: float, sol: TfSolution, r) -> float | np.ndarray:
     the exact scaling V_Z(r) = Z^{4/3} V_1(Z^{1/3} r).
     """
     _require_positive(Z=Z)
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("mean_field requires r > 0")
-    scalar = r.ndim == 0
-    w = np.atleast_1d(Z ** (1.0 / 3.0) * r)
-    x = w / TF_LENGTH_B
-    q = sol.enclosed_profile_charge(x)
-    o = sol.outer_profile_integral(x)
-    v1 = (q / x + o) / TF_LENGTH_B
-    out = Z ** (4.0 / 3.0) * v1
-    return float(out[0]) if scalar else out
+
+    def potential(r):
+        x = Z ** (1.0 / 3.0) * r / TF_LENGTH_B
+        cols = sol._columns(x)
+        return Z ** (4.0 / 3.0) * ((cols[:, _CHARGE] / x + cols[:, _OUTER]) / TF_LENGTH_B)
+
+    return _elementwise(r, "mean_field requires finite r > 0", potential)
 
 
-def _shells(w, d: float, radius: float) -> tuple[int, int, int]:
-    """Ball (d, R): nodes below `inner` lie inside it (w <= R - d), nodes
-    lo..hi-1 cut its sphere (the window |R - d| < w < R + d)."""
-    lo = int(w.searchsorted(abs(radius - d), "right"))
-    return (lo if radius > d else 0), lo, int(w.searchsorted(radius + d))
+def _ball_rows(sol: TfSolution, x) -> list:
+    """(q, 1 - q, o, p, p's rest, -o') at each point of x (TF units) from one
+    lookup; 1 - q = phi - x phi' and o = -phi' keep their accuracy far out."""
+    cols = sol._columns(np.array(x))
+    return [(q, phi - xi * dphi, -dphi, p, rest, phi**1.5 / math.sqrt(xi) if xi > 0.0 else math.inf)
+            for xi, (phi, dphi, q, _, p, rest) in zip(x, cols.tolist())]
 
 
-def _ball_charge(sol: TfSolution, d: float, radius: float) -> float:
-    """Charge of rho_1 in the ball of radius R centred at |x| = d > 0.
+def _window_gauss(sol: TfSolution, d: float, radius: float):
+    """Gauss-Legendre nodes w on [a, m] and [m, b] (a = |R - d|, b = R + d,
+    m = max(d, a)) and their weights times dq/dw, from one lookup."""
+    a, b = abs(radius - d), radius + d
+    m = max(d, a)
+    w = np.concatenate((a + (m - a) * _GAUSS_X, m + (b - m) * _GAUSS_X))
+    weights = np.concatenate(((m - a) * _GAUSS_W, (b - m) * _GAUSS_W))
+    return w, weights * sol._columns(w)[:, _PHI] ** 1.5 * np.sqrt(w)
 
-    A window shell puts the share (R - d + w)(R + d - w)/(4 d w) of its
-    charge in the ball, so the window adds [(R^2 - d^2) dSm + 2d dS0 - dSp]/(4d),
-    dS its part of each moment, to the S0 of the shells inside.  With the
-    prefix sums (_charge_moments) exact to u, this
-    is within 8u M/(4d) of the quadrature, M = |R^2 - d^2| Sm + 2d S0 + Sp at
-    the window's top.  Where that exceeds 2^-40 of the result (terms cancel
-    for d << R, prefix differences where the window holds little of the
-    charge below it), the window, 2 min(d, R) wide, is summed directly; both
-    sides then subtract the nearer of R and d from w first, exactly where the
-    window is narrow.
+
+def _between(lo, hi, k: int) -> tuple[float, float]:
+    """Change of moment k (0: q, 3: p) from row lo to row hi, from the origin
+    (entry k) or infinity (k + 1), whichever holds less, and that size."""
+    if hi[k] <= lo[k + 1]:
+        return hi[k] - lo[k], hi[k]
+    return lo[k + 1] - hi[k + 1], lo[k + 1]
+
+
+def _ball_charge(sol: TfSolution, d: float, radius: float):
+    """Charge Q of rho_1 in the ball of radius R at |x| = d > 0 (TF units),
+    dQ/dR, d^2Q/dR^2 and the rounding bound of Q.
+
+    A shell at |y| = w in the window a = |R - d| < w < b = R + d puts the
+    share (R - d + w)(R + d - w)/(4 d w) of its charge dq in the ball, so
+    with the moments S0 = q, Sm = int dq/w and Sp = int w dq = p the window
+    adds [(R^2 - d^2) dSm + 2d dS0 - dSp]/(4d) to q(a) inside (if R > d),
+    dS each moment's change from a to b.  dQ/dR = R dSm/(2d), and d^2Q/dR^2
+    = (dQ/dR)/R + R (o'(a) sgn(R - d) - o'(b))/(2d), with dSm = o(a) - o(b),
+    o = -phi'.  S0 and Sp are also kept from infinity (phi - x phi' and
+    int_x^inf w dq); each change comes from the form smaller at the window,
+    so it never cancels against the moment below it.  Rule: where the closed
+    form's rounding bound, 8u per unit of the size of its terms, exceeds
+    2^-40 of Q (its terms cancel for d << R and R << d, where the window is
+    narrow), Gauss-Legendre on each side of d sums the window instead.
     """
-    w, cw = sol._charge_table
-    s0, sm, sp = sol._charge_moments
-    inner, lo, hi = _shells(w, d, radius)
+    a, b = _ball_rows(sol, (abs(radius - d), radius + d))
+    ds0, s0 = _between(a, b, 0)
+    dsp, sp = _between(a, b, 3)
+    dsm = a[2] - b[2]
     m = (radius - d) * (radius + d)
-    charge = s0[inner] + (m * (sm[hi] - sm[lo]) + 2.0 * d * (s0[hi] - s0[lo])
-                          - (sp[hi] - sp[lo])) / (4.0 * d)
-    size = abs(m) * sm[hi] + 2.0 * d * s0[hi] + sp[hi]
-    if _MOMENT_ROUNDING * size > _MOMENT_RTOL * 4.0 * d * abs(charge):
-        ww = w[lo:hi]
-        sides = (radius - (d - ww)) * ((max(radius, d) - ww) + min(radius, d))
-        charge = s0[inner] + np.sum(cw[lo:hi] * sides / ww) / (4.0 * d)
-    return float(charge)
+    inner = a[0] if radius > d else 0.0
+    window = (m * dsm + 2.0 * d * ds0 - dsp) / (4.0 * d)
+    slope = radius * dsm / (2.0 * d)
+    size = inner + (abs(m) * a[2] + 2.0 * d * s0 + sp) / (4.0 * d)
+    if _ROUNDING * size > _CLOSED_FORM_RTOL * abs(inner + window):
+        w, dq = _window_gauss(sol, d, radius)
+        share = (radius - (d - w)) * ((max(radius, d) - w) + min(radius, d)) / w
+        window = float(np.sum(dq * share)) / (4.0 * d)
+        slope = radius * float(np.sum(dq / w)) / (2.0 * d)
+        size = inner + window
+    bend = slope / radius + radius * (b[5] - math.copysign(a[5], radius - d)) / (2.0 * d)
+    return inner + window, slope, bend, _ROUNDING * size
 
 
 def _ball_potential(sol: TfSolution, d: float, radius: float) -> float:
-    """int_{|y - x| <= R} rho_1(y)/|x - y| dy at |x| = d > 0.
+    """int_{|y - x| <= R} rho_1(y)/|x - y| dy at |x| = d > 0 (TF units).
 
-    Shells inside give charge/max(w, d): S0/d and dSm, within 3u Sm.  Window
-    shells give (R - |d - w|)/(2 w d), sums of dS0 and dSm within 8u M/(2d),
-    M = |R - d| Sm + (R + d) Sm + 2 S0, else summed as in _ball_charge.
+    Shells inside the ball give dq/max(w, d): q(n)/d + o(n) - o(R - d),
+    n = min(R - d, d), if R > d.  Window shells give (R - |d - w|)/(2 d w):
+    [(R - d) dSm + dS0]/(2d) on [a, m] and [(R + d) dSm - dS0]/(2d) on
+    [m, b], m = max(d, a), with the moments and rule of _ball_charge.
     """
-    w, cw = sol._charge_table
-    s0, sm, _ = sol._charge_moments
-    inner, lo, hi = _shells(w, d, radius)
-    below = int(w.searchsorted(d))  # shells with w < d
-    near, mid = min(inner, below), min(max(below, lo), hi)
-    inside = s0[near] / d + (sm[inner] - sm[near])
-    potential = inside + ((radius - d) * (sm[mid] - sm[lo]) + (s0[mid] - s0[lo])
-                          + (radius + d) * (sm[hi] - sm[mid]) - (s0[hi] - s0[mid])) / (2.0 * d)
-    size = abs(radius - d) * sm[mid] + (radius + d) * sm[hi] + 2.0 * s0[hi]
-    if _MOMENT_ROUNDING * size > _MOMENT_RTOL * 2.0 * d * abs(potential):
-        ww = w[lo:hi]
-        seg = np.minimum(radius - (d - ww), (max(radius, d) - ww) + min(radius, d))
-        potential = inside + np.sum(cw[lo:hi] * seg / ww) / (2.0 * d)
-    return float(potential)
-
-
-def _brent_root(f, a: float, b: float, fa: float, fb: float,
-                xtol: float = 1e-13, rtol: float = 8.9e-16) -> float:
-    """Root of f in [a, b], where f(a) = fa and f(b) = fb differ in sign.
-
-    Brent's method: inverse quadratic or secant steps where they shrink the
-    bracket fast enough, bisection otherwise; stops once the bracket is
-    below xtol + rtol |x|.  The steps are those of R. P. Brent, "Algorithms
-    for Minimization without Derivatives" (1973), ch. 4.  Raises
-    ArithmeticError after 100 steps (a nan objective).
-    """
-    x_pre, x_cur, f_pre, f_cur = a, b, fa, fb
-    x_blk = f_blk = s_pre = s_cur = 0.0
-    if f_pre == 0.0:
-        return x_pre
-    for _ in range(100):
-        if f_pre != 0.0 and f_cur != 0.0 and (f_pre < 0.0) != (f_cur < 0.0):
-            x_blk, f_blk = x_pre, f_pre
-            s_pre = s_cur = x_cur - x_pre
-        if abs(f_blk) < abs(f_cur):
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        delta = 0.5 * (xtol + rtol * abs(x_cur))
-        s_bis = 0.5 * (x_blk - x_cur)
-        if f_cur == 0.0 or abs(s_bis) < delta:
-            return x_cur
-        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
-            if x_pre == x_blk:  # secant
-                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
-            else:  # inverse quadratic
-                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
-                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
-            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
-                s_pre, s_cur = s_cur, s_try
-            else:
-                s_pre = s_cur = s_bis
-        else:
-            s_pre = s_cur = s_bis
-        x_pre, f_pre = x_cur, f_cur
-        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
-        f_cur = f(x_cur)
-    raise ArithmeticError(f"Brent's method did not converge in [{a}, {b}]")
+    a, b, c = _ball_rows(sol, (abs(radius - d), radius + d, d))
+    near, mid = (c, a) if abs(radius - d) >= d else (a, c)
+    inside = near[0] / d + (near[2] - a[2]) if radius > d else 0.0
+    ds0_lo, s0_lo = _between(a, mid, 0)
+    ds0_hi, s0_hi = _between(mid, b, 0)
+    window = ((radius - d) * (a[2] - mid[2]) + ds0_lo
+              + (radius + d) * (mid[2] - b[2]) - ds0_hi) / (2.0 * d)
+    size = (abs(radius - d) * a[2] + (radius + d) * mid[2] + s0_lo + s0_hi) / (2.0 * d)
+    if _ROUNDING * size > _CLOSED_FORM_RTOL * (inside + window):
+        w, dq = _window_gauss(sol, d, radius)
+        window = float(np.sum(dq * (radius - abs(d - w)) / w)) / (2.0 * d)
+    return inside + window
 
 
 def exchange_hole_radius(Z: float, sol: TfSolution, r: float) -> float:
     """Smallest radius whose ball centered at |x| = r holds TF charge 1/2.
 
-    R_Z(r) = Z^{-1/3} R_1, where the Z = 1 ball centred at Z^{1/3} r holds
-    charge 1/(2Z); Brent's method finds R_1 on that enclosed charge, which
-    grows monotonically with the radius, in O(log n) per step (_ball_charge).
+    R_Z(r) = Z^{-1/3} b R_1, where the Z = 1 ball of radius R_1 centred at
+    d = Z^{1/3} r/b (TF units) holds the charge Q = 1/(2Z), monotone in R_1
+    (_ball_charge).  Halley steps on ln Q over ln R (Newton's where the
+    curvature term is large) keep a bracket, else bisect it in ln R.  They
+    start from the local-density ball (3Q)^(1/3) sqrt(d/phi(d)), phi from
+    Sommerfeld's closed form, or d + (3Q/2)^(2/3) if smaller (a ball far out
+    must reach the core), and stop once a step is below 1e-13 + 8.9e-16 R_1
+    or Q is within its rounding bound of 1/(2Z).
     """
     _require_positive(Z=Z, r=r)
     if Z < 0.5:
-        raise InsufficientChargeError(
-            f"total charge {Z} < 1/2: no half-charge ball exists"
-        )
+        raise InsufficientChargeError(f"total charge {Z} < 1/2: no half-charge ball exists")
     scale, target = Z ** (1.0 / 3.0), 0.5 / Z
-    d = r * scale
-    r_hi = d + float(sol._charge_table[0][-1])
-
-    def objective(radius: float) -> float:
-        return _ball_charge(sol, d, radius) - target
-
-    f_hi = objective(r_hi)
-    if f_hi < 0.0:
-        raise InsufficientChargeError(
-            f"quadrature charge cannot reach 1/2 within radius {r_hi / scale}"
-        )
-    return _brent_root(objective, 0.0, r_hi, -target, f_hi) / scale
+    d = r * scale / TF_LENGTH_B
+    lo, hi, reached = 0.0, d + float(sol.grid[-1]), False
+    radius = min(hi, (3.0 * target) ** (1.0 / 3.0) * math.sqrt(d * math.exp(-_sommerfeld_psi(d))),
+                 d + (1.5 * target) ** (2.0 / 3.0))
+    for _ in range(100):
+        charge, slope, bend, rounding = _ball_charge(sol, d, radius)
+        if abs(charge - target) <= rounding:
+            break
+        if charge > target:
+            hi, reached = radius, True
+        elif radius == hi:
+            raise InsufficientChargeError(
+                f"charge cannot reach 1/2 within radius {hi * TF_LENGTH_B / scale}")
+        else:
+            lo = radius
+        # g = ln(Q/target) over ln R: g' = k, g'' = k - k^2 + R^2 Q''/Q; a step
+        # goes at most e^-3 down (ln Q flattens above the root) and e^8 up
+        new = math.nan
+        if charge > 0.0 and slope > 0.0:
+            g, k = math.log(charge / target), radius * slope / charge
+            halley = g * (k - k * k + radius * radius * bend / charge) / (2.0 * k * k)
+            step = -g / k / (1.0 - halley if abs(halley) < 0.5 else 1.0)
+            new = radius * math.exp(max(-3.0, min(step, 8.0)))
+        if abs(new - radius) <= 1e-13 + 8.9e-16 * new:
+            radius = new
+            break
+        if not lo < new < hi:
+            new = hi if not reached else math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
+        radius = new
+    else:
+        raise ArithmeticError(f"no half-charge radius found at d = {d} (TF units)")
+    return radius * TF_LENGTH_B / scale
 
 
 def screening_potential(Z: float, c: float, sol: TfSolution, x: float) -> float:
     """Hole-screened mean-field potential chi(x) in units of mc^2.
 
     chi(x) = c^-2 * int_{|xt - y| > R_Z(xt)} rho_Z(y)/|xt - y| dy with
-    xt = x/c in TF coordinates: the full Newton potential minus the
-    charge-1/2 hole ball contribution, Z^{4/3} times that of the Z = 1 ball
-    (_ball_potential).  Satisfies 0 < chi(x) < c^-2 V_Z(x/c) and
+    xt = x/c in TF coordinates: the full Newton potential (mean_field) minus
+    that of the charge-1/2 hole ball, Z^{4/3} times that of the Z = 1 ball,
+    which _ball_potential takes from the same node-table moments as the
+    radius.  Satisfies 0 < chi(x) < c^-2 V_Z(x/c) and
     ||chi||_inf <= C Z^{4/3} c^-2.
     """
     _require_positive(Z=Z, c=c, x=x)
     xt = x / c
-    scale = Z ** (1.0 / 3.0)
+    to_tf = Z ** (1.0 / 3.0) / TF_LENGTH_B
     radius = exchange_hole_radius(Z, sol, xt)
-    hole = Z ** (4.0 / 3.0) * _ball_potential(sol, xt * scale, radius * scale)
+    hole = Z ** (4.0 / 3.0) * _ball_potential(sol, xt * to_tf, radius * to_tf) / TF_LENGTH_B
     full = float(mean_field(Z, sol, xt))
     return (full - hole) / (c * c)

@@ -6,8 +6,8 @@ package's floating-point rearrangements, used to freeze expected values and
 to bound rounding error; a Thomas-Fermi shooting classifier that checks
 the collocation solver's initial slope by a different method; the
 earlier scipy solve_bvp Thomas-Fermi solver, kept as a reference for the
-Chebyshev one; and the full-table exchange-hole kernels, one pass over every
-charge-table node per call, kept as a reference for the moment kernels.
+Chebyshev one; and the charge and potential of a ball by adaptive
+quadrature over the profile, a reference for the exchange-hole kernels.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 from mpmath import mp, mpf, sqrt
-from scipy.integrate import cumulative_simpson, simpson, solve_bvp, solve_ivp
+from scipy.integrate import cumulative_simpson, quad, simpson, solve_bvp, solve_ivp
 
 from relscott.thomas_fermi import (
     _KINETIC_PREF,
@@ -153,56 +153,38 @@ def solve_tf_bvp(tol: float) -> tuple[float, float]:
     return float(slope), float(e_tf_1)
 
 
-def charge_quadrature(Z: float, sol):
-    """Nodes w_i (Hartree radius) and per-node charge weights at charge Z.
+def _shell_integral(sol, f, lo: float, hi: float, kinks=()) -> float:
+    """int_lo^hi f(w) dq(w) for rho_1 in Hartree radius w (Z = 1), by quad,
+    split at the profile's domain ends and at the given kinks."""
+    def integrand(w):
+        x = w / TF_LENGTH_B
+        return f(w) * sol.phi_at(x) ** 1.5 * math.sqrt(x) / TF_LENGTH_B
 
-    The weights integrate to Z; Z enters through the exact scaling
-    w = w_1 Z^(-1/3), weight = Z weight_1 of the solution's Z = 1 table.
-    """
-    w_1, cw_1 = sol._charge_table
-    return w_1 * Z ** (-1.0 / 3.0), Z * cw_1
-
-
-def enclosed_charge(w_nodes, charge_w, d: float, radius: float) -> float:
-    """Charge inside the ball of given radius centred at |x| = d, node by node."""
-    if radius <= 0.0:
-        return 0.0
-    if d == 0.0:
-        return float(np.sum(charge_w[w_nodes <= radius]))
-    cos_t = (d * d + w_nodes * w_nodes - radius * radius) / (2.0 * d * w_nodes)
-    frac = np.clip(0.5 * (1.0 - cos_t), 0.0, 1.0)
-    return float(np.dot(frac, charge_w))
+    ends = [TF_LENGTH_B * float(x) for x in np.exp(sol._table.breaks)] + list(kinks)
+    cuts = sorted({lo, hi, *(c for c in ends if lo < c < hi)})
+    return math.fsum(quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+                     for a, b in zip(cuts[:-1], cuts[1:]))
 
 
-def hole_potential(w_nodes, charge_w, d: float, radius: float) -> float:
-    """int_{|y - x| <= radius} rho(y)/|x - y| dy at centre distance d, node by node."""
-    lo = np.abs(d - w_nodes)
-    hi = np.minimum(d + w_nodes, radius)
-    seg = np.maximum(hi - lo, 0.0)
-    return float(np.dot(seg / (2.0 * w_nodes * d), charge_w))
+def ball_charge(sol, d: float, radius: float) -> float:
+    """Charge of rho_1 in the ball of given radius centred at |x| = d
+    (Hartree, Z = 1): the shells inside it, and the share
+    (R - d + w)(R + d - w)/(4 d w) of each shell its sphere cuts."""
+    lo, hi = abs(radius - d), radius + d
+    inner = _shell_integral(sol, lambda w: 1.0, 0.0, lo) if radius > d else 0.0
+    share = lambda w: (radius - d + w) * (radius + d - w) / (4.0 * d * w)
+    return inner + _shell_integral(sol, share, lo, hi)
 
 
-def ball_kernels_exact(w_nodes, charge_w, d: float, radius: float) -> tuple[float, float]:
-    """(enclosed_charge, hole_potential) from the same node-by-node
-    expressions in exact arithmetic.
-
-    Lengths times 2^100 are integers (asserted), so R^2 - (d - w)^2 and
-    min(d + w, R) - |d - w| are exact; each node's share is one correctly
-    rounded integer division and math.fsum adds the products, so both are
-    within 2u of the exact quadrature sums.  The float versions above lose
-    up to u w/d of a node's share when d << w.
-    """
-    scale = 2.0**100
-    dd, rr = int(d * scale), int(radius * scale)
-    assert dd == d * scale and rr == radius * scale
-    charge, hole = [], []
-    for w, c in zip((w_nodes * scale).tolist(), charge_w.tolist()):
-        ww = int(w)
-        assert ww == w
-        gap = abs(dd - ww)
-        den = 4 * dd * ww
-        charge.append(c * (min(max(rr * rr - gap * gap, 0), den) / den))
-        seg = min(dd + ww, rr) - gap
-        if seg > 0:
-            hole.append(c * ((seg << 101) / den))
-    return math.fsum(charge), math.fsum(hole)
+def ball_potential(sol, d: float, radius: float) -> float:
+    """int_{|y - x| <= radius} rho_1(y)/|x - y| dy at |x| = d (Hartree,
+    Z = 1): dq/max(w, d) from the shells inside the ball and
+    (R - |d - w|)/(2 d w) dq from those its sphere cuts."""
+    lo, hi = abs(radius - d), radius + d
+    total = 0.0
+    if radius > d:
+        total += _shell_integral(sol, lambda w: 1.0 / d, 0.0, min(lo, d))
+        if lo > d:
+            total += _shell_integral(sol, lambda w: 1.0 / w, d, lo)
+    seg = lambda w: (radius - abs(d - w)) / (2.0 * d * w)
+    return total + _shell_integral(sol, seg, lo, hi, kinks=(d,))

@@ -18,17 +18,16 @@ from relscott import (
     tf_functional_at_scale,
 )
 from relscott.thomas_fermi import (
+    _GAUSS_W,
+    _GAUSS_X,
     TF_LENGTH_B,
     _ball_charge,
     _ball_potential,
-    _brent_root,
 )
 
 from _oracles import (
-    ball_kernels_exact,
-    charge_quadrature,
-    enclosed_charge,
-    hole_potential,
+    ball_charge,
+    ball_potential,
     shoot_classify,
     solve_tf_bvp,
 )
@@ -97,6 +96,23 @@ def test_interpolation_continuity(tf_solution):
     series_val = 1.0 + sol.initial_slope * x0 + (4.0 / 3.0) * x0**1.5
     assert sol.phi[0] == pytest.approx(series_val, abs=1e-10)
     assert sol.phi[-1] == pytest.approx(sol.phi_at(x_end * (1.0 + 1e-12)), rel=1e-6)
+
+
+def test_node_columns_join_the_head_and_the_decay(tf_solution):
+    # phi, phi', q and both parts of the moment int t dq meet their series
+    # head at the grid's start and their power-law forms at the far end (o
+    # is left out: its tabulated tail is the cruder tail_a of solve_tf)
+    x0, x_end = tf_solution.grid[0], tf_solution.grid[-1]
+    for end, beyond in ((x0, x0 * (1.0 - 1e-12)), (x_end, x_end * (1.0 + 1e-12))):
+        on_grid, off_grid = np.delete(tf_solution._columns(np.array([end, beyond])), 3, axis=1)
+        assert off_grid == pytest.approx(on_grid, rel=1e-9, abs=0.0), end
+
+
+def test_gauss_legendre_rule():
+    # the 8-point rule the hole kernels use on [0, 1], against numpy's
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert np.max(np.abs(_GAUSS_X - 0.5 * (1.0 + nodes))) <= 2e-16
+    assert np.max(np.abs(_GAUSS_W - 0.5 * weights)) <= 2e-16
 
 
 def test_functional_pieces(tf_solution):
@@ -218,28 +234,33 @@ def test_mean_field_domain(tf_solution):
         mean_field(1.0, tf_solution, -2.0)
 
 
-def test_hole_radius_defining_property(tf_solution):
-    w, cw = charge_quadrature(1.0, tf_solution)
-    for d in (1e-9, 1e-6, 0.05, 0.5, 1.0, 5.0, 60.0):
-        radius = exchange_hole_radius(1.0, tf_solution, d)
-        assert enclosed_charge(w, cw, d, radius) == pytest.approx(0.5, abs=1e-8)
+@pytest.fixture(scope="module")
+def fine_solution():
+    """The tol-1e-10 profile that the quadrature oracle integrates."""
+    return solve_tf(1e-10)
+
+
+def test_hole_radius_defining_property(fine_solution):
+    # the Z = 1 ball at Z^(1/3) d of radius Z^(1/3) R_Z(d) holds 1/(2Z)
+    for z in (1.0, 92.0):
+        scale = z ** (1.0 / 3.0)
+        for d in (1e-9, 1e-6, 0.05, 0.5, 1.0, 5.0, 60.0, 3000.0):
+            radius = exchange_hole_radius(z, fine_solution, d)
+            charge = ball_charge(fine_solution, scale * d, scale * radius)
+            assert charge == pytest.approx(0.5 / z, abs=1e-10), (z, d)
 
 
 @pytest.mark.parametrize("d", [1e-9, 1e-5, 1e-3, 0.05, 1.0, 60.0, 3000.0])
-def test_moment_kernels_match_the_node_sums(tf_solution, d):
-    # the closed forms in the cumulative charge moments against node-by-node
-    # sums, at and around the half-charge radius
-    w, cw = tf_solution._charge_table
-    root = exchange_hole_radius(1.0, tf_solution, d)
+def test_moment_kernels_match_the_node_sums(fine_solution, d):
+    # the closed forms in the cumulative moments (and their Gauss-Legendre
+    # fallback) against quadrature of the profile, at and around the
+    # half-charge radius
+    root = exchange_hole_radius(1.0, fine_solution, d)
     for radius in (0.5 * root, root * (1 - 1e-6), root, root * (1 + 1e-6), 2.0 * root):
-        got_charge = _ball_charge(tf_solution, d, radius)
-        got_hole = _ball_potential(tf_solution, d, radius)
-        refs = [ball_kernels_exact(w, cw, d, radius)]
-        if d >= 1e-5:  # below, the float node sums lose up to u w/d of a share
-            refs.append((enclosed_charge(w, cw, d, radius), hole_potential(w, cw, d, radius)))
-        for charge, hole in refs:
-            assert abs(got_charge - charge) <= 1e-12
-            assert got_hole == pytest.approx(hole, rel=1e-10, abs=0.0)
+        charge = _ball_charge(fine_solution, d / TF_LENGTH_B, radius / TF_LENGTH_B)[0]
+        hole = _ball_potential(fine_solution, d / TF_LENGTH_B, radius / TF_LENGTH_B) / TF_LENGTH_B
+        assert abs(charge - ball_charge(fine_solution, d, radius)) <= 1e-12
+        assert hole == pytest.approx(ball_potential(fine_solution, d, radius), rel=1e-10, abs=0.0)
 
 
 def test_hole_radius_monotone(tf_solution):
@@ -250,44 +271,19 @@ def test_hole_radius_monotone(tf_solution):
     assert all(b >= a - 1e-9 for a, b in zip(radii, radii[1:]))
 
 
-def test_hole_radius_scaling(tf_solution):
+def test_hole_radius_scaling(fine_solution):
     # absolute charge 1/2 transforms the defining equation to
     # Z * enc_1(Z^{1/3} d, Z^{1/3} R_Z(d)) = 1/2
     z, d = 8.0, 0.5
-    w1, cw1 = charge_quadrature(1.0, tf_solution)
     rhat = brentq(
-        lambda rr: enclosed_charge(w1, cw1, z ** (1.0 / 3.0) * d, rr) - 0.5 / z,
+        lambda rr: ball_charge(fine_solution, z ** (1.0 / 3.0) * d, rr) - 0.5 / z,
         1e-8,
         2000.0,
         xtol=1e-13,
     )
-    assert exchange_hole_radius(z, tf_solution, d) == pytest.approx(
-        z ** (-1.0 / 3.0) * rhat, rel=1e-9
+    assert exchange_hole_radius(z, fine_solution, d) == pytest.approx(
+        z ** (-1.0 / 3.0) * rhat, rel=1e-11
     )
-
-
-@pytest.mark.parametrize("z", [1.0, 8.0, 79.0])
-def test_brent_root_matches_scipy_brentq(tf_solution, z):
-    # same roots as scipy's brentq within 2 xtol, in at most two more
-    # evaluations (the in-module call is handed f(0) = -target without
-    # one); the objective is the Z = 1 ball charge at d = Z^(1/3) r
-    scale = z ** (1.0 / 3.0)
-    target = 0.5 / z
-    for r in np.geomspace(1e-3, 100.0, 7):
-        d = float(r) * scale
-        calls = []
-
-        def objective(radius):
-            calls.append(radius)
-            return _ball_charge(tf_solution, d, radius) - target
-
-        hi = d + float(tf_solution._charge_table[0][-1])
-        ref, info = brentq(objective, 0.0, hi, xtol=1e-13, rtol=8.9e-16, full_output=True)
-        calls.clear()
-        root = _brent_root(objective, 0.0, hi, -target, objective(hi))
-        assert abs(root - ref) <= 2e-13
-        assert len(calls) <= info.function_calls + 2
-        assert exchange_hole_radius(z, tf_solution, float(r)) == root / scale
 
 
 def test_hole_radius_domain(tf_solution):
@@ -367,6 +363,27 @@ def test_screening_domain(tf_solution):
         screening_potential(1.0, 1.0, tf_solution, 0.0)
     with pytest.raises(ValueError):
         screening_potential(1.0, 0.0, tf_solution, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_names_the_argument(tf_solution, bad):
+    sol = tf_solution
+    calls = [
+        (lambda: tf_energy(bad, sol), "^Z must be positive and finite"),
+        (lambda: density(bad, sol), "^Z must be positive and finite"),
+        (lambda: exchange_hole_radius(bad, sol, 1.0), "^Z must be positive and finite"),
+        (lambda: exchange_hole_radius(1.0, sol, bad), "^r must be positive and finite"),
+        (lambda: screening_potential(1.0, bad, sol, 1.0), "^c must be positive and finite"),
+        (lambda: screening_potential(1.0, 1.0, sol, bad), "^x must be positive and finite"),
+        (lambda: density(1.0, sol)(bad), "requires finite r > 0"),
+        (lambda: density(1.0, sol)(np.array([1.0, bad])), "requires finite r > 0"),
+        (lambda: mean_field(1.0, sol, bad), "requires finite r > 0"),
+        (lambda: sol.phi_at(bad), "requires finite x > 0"),
+        (lambda: sol.dphi_at(np.array([bad])), "requires finite x > 0"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_profile_export(tf_solution, tmp_path):
