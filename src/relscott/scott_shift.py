@@ -5,16 +5,18 @@ sum_n (lambda_D - lambda_S).  Every summand is strictly negative, so s < 0 on
 (0, 1); s(0) = 0; the Scott coefficient is q = 1/2 + s(gamma).
 
 Evaluation strategy (all pieces deterministic):
-  * channels l < L in the canonical order of quantum_numbers.iter_channels,
-    a block of about _BLOCK_ELEMENTS values per array at a time;
+  * channels l < L in the canonical order of quantum_numbers.iter_channels;
   * levels n < _N_SERIES of each channel: row sums of the cancellation-free
-    combined-difference kernel;
+    combined-difference kernel, a block of about _BLOCK_ELEMENTS values per
+    array at a time;
   * levels n >= _N_SERIES: sum_{k>=3} c_k zeta(k, l + _N_SERIES), the Taylor
     series of f(u) = (lambda_D - lambda_S)/gamma^2 in u = 1/N, cut at the
-    smallest order whose proven remainder (|c_k| <= 0.12 4^k) fits tol;
-  * the channels l >= L in closed form: the fine-structure model, summed
-    exactly via the double-sum zeta identity, plus -(gamma^4/4) (l + 1/2)^-4
-    per l, the leading part of what the model misses; the proven bound
+    smallest order whose proven remainder (|c_k| <= 0.12 4^k) fits tol, from
+    one zeta table over all channels;
+  * the channels l >= L in closed form: the fine-structure model, its pairs
+    telescoped into three Hurwitz zeta values at L + 1, plus
+    -(gamma^4/4) (l + 1/2)^-4 per l, the leading part of what the model
+    misses; the proven bound
     C(gamma) (l + 1/2)^-6 on the rest (see _l_tail_bound_coefficient) sets L
     directly;
   * totals by math.fsum, correctly rounded: no order or block size changes a bit.
@@ -38,7 +40,7 @@ from .hydrogenic import (
     difference_over_gamma2_kernel,
     fine_structure_kernel,
 )
-from .zeta import ZETA_2, ZETA_4, hurwitz_zeta, riemann_zeta
+from .zeta import hurwitz_zeta, riemann_zeta
 
 # (zeta(3) - 5 pi^2/24): coefficient of gamma^2 in Schwinger's closed form
 SCHWINGER_COEFFICIENT = riemann_zeta(3.0) - 5.0 * math.pi**2 / 24.0
@@ -54,8 +56,8 @@ _N_SERIES = 32
 # |f| <= _F_MAX on |u| = 1/4 (see _taylor_coefficients), so |c_k| <= _F_MAX 4^k
 _F_MAX = 0.12
 
-# values per array of the blocked channel sums: rows = channels, so n columns
-# (levels, or series orders) give max(1, _BLOCK_ELEMENTS // n) channels a block
+# values per array of the blocked level sums: rows = channels, so n levels
+# give max(1, _BLOCK_ELEMENTS // n) channels a block
 _BLOCK_ELEMENTS = 1 << 13
 
 
@@ -144,18 +146,13 @@ def _taylor_coefficients(gamma: float, kb: np.ndarray, order: int) -> list[np.nd
 
 def _series_sums(gamma: float, l: np.ndarray, kb: np.ndarray, order: int) -> np.ndarray:
     """Per channel, 2kb * sum_{k=3..order} c_k zeta(k, l + _N_SERIES): the
-    levels n >= _N_SERIES, in blocks of about _BLOCK_ELEMENTS zeta values."""
+    levels n >= _N_SERIES."""
     k = np.arange(3.0, order + 1.0)[:, None]
-    rows = max(1, _BLOCK_ELEMENTS // k.size)
-    sums = np.empty_like(kb)
-    for start in range(0, kb.size, rows):
-        block = slice(start, start + rows)
-        ls, of_channel = np.unique(l[block], return_inverse=True)  # shared by an l's pair
-        zetas = hurwitz_zeta(k, ls + _N_SERIES)[:, of_channel]
-        coeffs = _taylor_coefficients(gamma, kb[block], order)
-        # smallest terms first
-        sums[block] = sum(c * z for c, z in zip(coeffs[::-1], zetas[::-1]))
-    return 2.0 * kb * sums
+    ls, of_channel = np.unique(l, return_inverse=True)  # shared by an l's pair
+    zetas = hurwitz_zeta(k, ls + _N_SERIES)[:, of_channel]
+    coeffs = _taylor_coefficients(gamma, kb, order)
+    # smallest terms first
+    return 2.0 * kb * sum(c * z for c, z in zip(coeffs[::-1], zetas[::-1]))
 
 
 def _series_order(kb: np.ndarray, a: np.ndarray, budget: float) -> tuple[int, float]:
@@ -188,25 +185,25 @@ def direct_channel_sum(gamma: float, l_cut: int, n_cut: int) -> float:
     return math.fsum(sums.tolist())
 
 
-# sum_{l>=1} of the complete-n fine-structure channel pairs (see
-# _l_tail_closed_form), in closed form via sum_{m,n>=1} (m+n)^-s = zeta(s-1) - zeta(s)
-_FS_FULL_L_SUM = -2.0 * (ZETA_2 - riemann_zeta(3.0)) + 0.75 * (ZETA_2 - ZETA_4)
-
-
 def _l_tail_closed_form(gamma: float, l_count: int) -> float:
     """Value of the channels l >= l_count, all n: the fine-structure model
     plus -(gamma^4/4) zeta(4, l_count + 1/2), the leading part of what the
     model misses (see _l_tail_bound_coefficient).
 
     The complete-n channel pair at l >= 1 is
-    sum_j (2j+1) sum_n fs(N)/gamma^4 = -2 zeta(3, l+1) + (3/4)(2l+1) zeta(4, l+1);
-    the pairs l < l_count are subtracted from their closed-form total.
+    sum_j (2j+1) sum_n fs(N)/gamma^4 = -2 zeta(3, l+1) + (3/4)(2l+1) zeta(4, l+1),
+    and with L = l_count the pairs l >= L telescope, summing over n first:
+        sum_{l>=L} zeta(s, l+1) = zeta(s-1, L+1) - L zeta(s, L+1),
+        sum_{l>=L} (2l+1) zeta(s, l+1) = zeta(s-2, L+1) - L^2 zeta(s, L+1).
+    The three terms that result cancel only about 5x (-1.25/L, +1/L, -0.25/L).
     """
-    g2 = gamma * gamma
-    l = np.arange(1.0, l_count)
-    terms = -2.0 * hurwitz_zeta(3.0, l + 1.0) + 0.75 * (2.0 * l + 1.0) * hurwitz_zeta(4.0, l + 1.0)
-    fine_structure = g2 * (_FS_FULL_L_SUM - math.fsum(terms.tolist()))
-    return fine_structure - 0.25 * g2 * g2 * hurwitz_zeta(4.0, l_count + 0.5)
+    g2, a = gamma * gamma, l_count + 1.0
+    fine_structure = (
+        -1.25 * hurwitz_zeta(2.0, a)
+        + 2.0 * l_count * hurwitz_zeta(3.0, a)
+        - 0.75 * l_count * l_count * hurwitz_zeta(4.0, a)
+    )
+    return g2 * fine_structure - 0.25 * g2 * g2 * hurwitz_zeta(4.0, l_count + 0.5)
 
 
 def _l_tail_bound_coefficient(gamma: float) -> float:

@@ -115,7 +115,7 @@ def _series_phi(x, slope: float):
 
 def _series_dphi(x, slope: float):
     x = np.asarray(x, dtype=float)
-    return slope + 2.0 * np.sqrt(x) + slope * x**1.5
+    return slope + 2.0 * np.sqrt(x) + slope * x**1.5 + x * x
 
 
 def _head_moments(x, slope: float):
@@ -457,7 +457,7 @@ def solve_tf(tol: float = 1e-8) -> TfSolution:
     # phi^{3/2} sqrt(x), I_K of phi^{5/2} x^{-1/2}
     d_attr = 2.0 * v * phi**1.5
     d_charge = d_attr * x
-    tail_a = (144.0 * (1.0 - tau_end)) ** 1.5 / (4.0 * x_end**4)
+    tail_a = -float(_asymptote_dphi(x_end, coeff_f))
     tail_k = (144.0 * (1.0 - tau_end)) ** 2.5 / (7.0 * x_end**7)
 
     # o(x) and the rest of p, int_x^inf t dq, from infinity, summed across
@@ -470,8 +470,8 @@ def solve_tf(tol: float = 1e-8) -> TfSolution:
     p_rest = from_infinity(d_charge * x, _asymptote_moment(x_end, coeff_f))
 
     # phi'(x0) = -o(x0): the ODE integrated from x0 out, with the series
-    # phi' = s + 2 sqrt(x) + s x^{3/2} below it
-    slope = float(-(o_nodes[0, 0] + 2.0 * v0) / (1.0 + v0**3))
+    # phi' = s + 2 sqrt(x) + s x^{3/2} + x^2 below it
+    slope = float(-(o_nodes[0, 0] + 2.0 * v0 + v0**4) / (1.0 + v0**3))
 
     # q(x) and p(x) = int_0^x t dq from the origin, with the heads of
     # phi^{3/2} = 1 + (3/2) s x below x0

@@ -86,8 +86,3 @@ def hurwitz_zeta(s: float | np.ndarray, a: float | np.ndarray) -> float | np.nda
 def riemann_zeta(s: float) -> float:
     """Riemann zeta(s) for real s > 1."""
     return hurwitz_zeta(s, 1.0)
-
-
-ZETA_2 = math.pi**2 / 6.0
-ZETA_3 = 1.2020569031595943  # riemann_zeta(3.0), frozen for import-time constants
-ZETA_4 = math.pi**4 / 90.0

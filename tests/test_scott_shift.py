@@ -365,6 +365,40 @@ def test_l_tail_bound_pieces():
                     assert abs(rest) <= 0.14 * g2**3 / (mpmath.mpf(kb) ** 5 * n_pr**3), (gamma, kb, n_pr)
 
 
+def _mp_l_tail(gamma, l_count):
+    """The fine-structure model pairs l >= l_count plus -(gamma^4/4)
+    zeta(4, l_count + 1/2), by the telescoped zeta sums in mpmath."""
+    g2, big_l, a = mpmath.mpf(gamma) ** 2, mpmath.mpf(l_count), mpmath.mpf(l_count) + 1
+    z2, z3, z4 = (mpmath.zeta(k, a) for k in (2, 3, 4))
+    pairs = -2 * (z2 - big_l * z3) + mpmath.mpf(3) / 4 * (z2 - big_l**2 * z4)
+    return g2 * pairs - g2**2 / 4 * mpmath.zeta(4, big_l + 0.5)
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.9, 1.0 - 1e-9])
+@pytest.mark.parametrize("l_count", [8, 9, 17, 33, 81])
+def test_l_tail_closed_form_matches_mpmath(gamma, l_count):
+    with mpmath.workdps(40):
+        ref = _mp_l_tail(gamma, l_count)
+        got = scott_shift._l_tail_closed_form(gamma, l_count)
+        assert abs((got - ref) / ref) <= 2e-15
+
+
+def test_l_tail_reference_matches_the_level_sum():
+    # the reference's zeta identities against the pairs summed the other way:
+    # level N >= L + 1 holds the pairs L <= l < N, each channel kb weighted
+    # 2kb and giving -(gamma^2/(2 N^3)) (1/kb - 3/(4N)), summed by nsum
+    gamma, l_count = 0.9, 33
+    with mpmath.workdps(40):
+        g2, big_l = mpmath.mpf(gamma) ** 2, mpmath.mpf(l_count)
+
+        def level(n):
+            return -2 * (n - big_l) / n**3 + mpmath.mpf(3) / 4 * (n * n - big_l**2) / n**4
+
+        pairs = mpmath.nsum(level, [l_count + 1, mpmath.inf], method="euler-maclaurin")
+        nsummed = g2 * pairs - g2**2 / 4 * mpmath.zeta(4, big_l + 0.5)
+        assert abs(nsummed / _mp_l_tail(gamma, l_count) - 1) <= mpmath.mpf(10) ** -35
+
+
 def test_level_difference_bounded_on_the_cauchy_circle():
     # |f| <= _F_MAX on |u| = 1/4, which gives |c_k| <= _F_MAX 4^k
     u = 0.25 * np.exp(2j * np.pi * np.arange(256) / 256)

@@ -41,7 +41,9 @@ def test_energy_value(tf_solution):
 
 def test_initial_slope(tf_solution):
     assert tf_solution.initial_slope == pytest.approx(-1.5881, abs=1e-3)
-    assert abs(tf_solution.initial_slope - BAKER_SLOPE) <= 1e-11
+    # with phi's x^3/3 term in the head phi' below x0, and o(x_end) = -phi'(x_end)
+    # of the decay law, phi'(0) = -o(0) lands within about 4e-14 of Baker's value
+    assert abs(tf_solution.initial_slope - BAKER_SLOPE) <= 1e-13
 
 
 def test_shooting_brackets_the_collocation_slope(tf_solution):
@@ -99,12 +101,11 @@ def test_interpolation_continuity(tf_solution):
 
 
 def test_node_columns_join_the_head_and_the_decay(tf_solution):
-    # phi, phi', q and both parts of the moment int t dq meet their series
-    # head at the grid's start and their power-law forms at the far end (o
-    # is left out: its tabulated tail is the cruder tail_a of solve_tf)
+    # phi, phi', q, o and both parts of the moment int t dq meet their
+    # series head at the grid's start and their power-law forms at the far end
     x0, x_end = tf_solution.grid[0], tf_solution.grid[-1]
     for end, beyond in ((x0, x0 * (1.0 - 1e-12)), (x_end, x_end * (1.0 + 1e-12))):
-        on_grid, off_grid = np.delete(tf_solution._columns(np.array([end, beyond])), 3, axis=1)
+        on_grid, off_grid = tf_solution._columns(np.array([end, beyond]))
         assert off_grid == pytest.approx(on_grid, rel=1e-9, abs=0.0), end
 
 
