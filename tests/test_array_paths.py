@@ -42,13 +42,15 @@ def test_blocked_channel_sums_equal_channel_loop(block, monkeypatch):
     assert sums.tolist() == want
 
 
-def test_blocked_series_sums_equal_channel_loop():
+@pytest.mark.parametrize("block", [1, 7, 300, 1 << 13])
+def test_blocked_series_sums_equal_channel_loop(block, monkeypatch):
     # the series of every channel has the bits of that channel evaluated alone
     gamma, l_count, order = 0.9375, 40, 14
     want = [
         float(scott_shift._series_sums(gamma, np.array([float(l)]), np.array([kb]), order)[0])
         for l, kb in _channels(l_count)
     ]
+    monkeypatch.setattr(scott_shift, "_BLOCK_ELEMENTS", block)
     l, kb = scott_shift._channel_arrays(l_count)
     assert scott_shift._series_sums(gamma, l, kb, order).tolist() == want
 
