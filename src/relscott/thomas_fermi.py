@@ -89,7 +89,7 @@ class TfConvergenceError(RuntimeError):
 
 
 class InsufficientChargeError(ValueError):
-    """Total charge below 1/2: no exchange-hole radius exists."""
+    """Total charge at most 1/2: no exchange-hole radius exists."""
 
 
 def _require_positive(**values: float) -> None:
@@ -100,7 +100,10 @@ def _require_positive(**values: float) -> None:
 
 def _elementwise(values, requirement: str, f):
     """f over the flattened values, which must be positive and finite: a
-    float for a scalar, else an array of the input's shape."""
+    float for a scalar, else an array of the input's shape.  A valid float
+    (Python or np.float64) goes to f as a one-element array, unchecked."""
+    if isinstance(values, float) and 0.0 < values < math.inf:
+        return float(f(np.array([values]))[0])
     x = np.asarray(values, dtype=float)
     if not np.all((x > 0.0) & (x < math.inf)):
         raise ValueError(requirement)
@@ -283,9 +286,13 @@ class TfSolution:
     _table: _NodeTable
 
     def _columns(self, x) -> np.ndarray:
-        """Columns _PHI.._MOMENT_REST at each x >= 0 of a 1-d array: (x.size, 6),
-        by the node table on the grid, the series head below it (o = -phi')
-        and the power-law decay above it (q = 1 - (phi - x phi'), o = -phi')."""
+        """Columns _PHI.._MOMENT_REST at each x >= 0 of a 1-d array or a tuple
+        of floats (tested for the grid by float comparisons): (len(x), 6), by
+        the node table on the grid, the series head below it (o = -phi') and
+        the power-law decay above it (q = 1 - (phi - x phi'), o = -phi')."""
+        if type(x) is tuple and self.grid[0] <= min(x) and max(x) <= self.grid[-1]:
+            return self._table(np.array(x))
+        x = np.asarray(x)
         below, above = x < self.grid[0], x > self.grid[-1]
         n_below, n_above = np.count_nonzero(below), np.count_nonzero(above)
         if not (n_below or n_above):
@@ -591,12 +598,13 @@ def mean_field(Z: float, sol: TfSolution, r) -> float | np.ndarray:
     return _elementwise(r, "mean_field requires finite r > 0", potential)
 
 
-def _ball_rows(sol: TfSolution, x) -> list:
-    """(q, 1 - q, o, p, p's rest, -o') at each point of x (TF units) from one
-    lookup; 1 - q = phi - x phi' and o = -phi' keep their accuracy far out."""
-    cols = sol._columns(np.array(x))
-    return [(q, phi - xi * dphi, -dphi, p, rest, phi**1.5 / math.sqrt(xi) if xi > 0.0 else math.inf)
-            for xi, (phi, dphi, q, _, p, rest) in zip(x, cols.tolist())]
+def _ball_rows(sol: TfSolution, x: tuple) -> list:
+    """(q, 1 - q, o, p, p's rest, -o', mean_field's o) at each point of x (TF
+    units) from one lookup; 1 - q = phi - x phi' and o = -phi' stay accurate far out."""
+    cols = sol._columns(x)
+    return [(q, phi - xi * dphi, -dphi, p, rest,
+             phi**1.5 / math.sqrt(xi) if xi > 0.0 else math.inf, o)
+            for xi, (phi, dphi, q, o, p, rest) in zip(x, cols.tolist())]
 
 
 def _window_gauss(sol: TfSolution, d: float, radius: float):
@@ -617,9 +625,10 @@ def _between(lo, hi, k: int) -> tuple[float, float]:
     return lo[k + 1] - hi[k + 1], lo[k + 1]
 
 
-def _ball_charge(sol: TfSolution, d: float, radius: float):
+def _ball_charge(sol: TfSolution, d: float, radius: float, a, b):
     """Charge Q of rho_1 in the ball of radius R at |x| = d > 0 (TF units),
-    dQ/dR, d^2Q/dR^2 and the rounding bound of Q.
+    dQ/dR, d^2Q/dR^2 and the rounding bound of Q, from the _ball_rows a and
+    b at the window ends |R - d| and R + d.
 
     A shell at |y| = w in the window a = |R - d| < w < b = R + d puts the
     share (R - d + w)(R + d - w)/(4 d w) of its charge dq in the ball, so
@@ -634,7 +643,6 @@ def _ball_charge(sol: TfSolution, d: float, radius: float):
     2^-40 of Q (its terms cancel for d << R and R << d, where the window is
     narrow), Gauss-Legendre on each side of d sums the window instead.
     """
-    a, b = _ball_rows(sol, (abs(radius - d), radius + d))
     ds0, s0 = _between(a, b, 0)
     dsp, sp = _between(a, b, 3)
     dsm = a[2] - b[2]
@@ -653,15 +661,15 @@ def _ball_charge(sol: TfSolution, d: float, radius: float):
     return inner + window, slope, bend, _ROUNDING * size
 
 
-def _ball_potential(sol: TfSolution, d: float, radius: float) -> float:
-    """int_{|y - x| <= R} rho_1(y)/|x - y| dy at |x| = d > 0 (TF units).
+def _ball_potential(sol: TfSolution, d: float, radius: float, a, b, c) -> float:
+    """int_{|y - x| <= R} rho_1(y)/|x - y| dy at |x| = d > 0 (TF units), from
+    the _ball_rows a, b and c at |R - d|, R + d and d.
 
     Shells inside the ball give dq/max(w, d): q(n)/d + o(n) - o(R - d),
     n = min(R - d, d), if R > d.  Window shells give (R - |d - w|)/(2 d w):
     [(R - d) dSm + dS0]/(2d) on [a, m] and [(R + d) dSm - dS0]/(2d) on
     [m, b], m = max(d, a), with the moments and rule of _ball_charge.
     """
-    a, b, c = _ball_rows(sol, (abs(radius - d), radius + d, d))
     near, mid = (c, a) if abs(radius - d) >= d else (a, c)
     inside = near[0] / d + (near[2] - a[2]) if radius > d else 0.0
     ds0_lo, s0_lo = _between(a, mid, 0)
@@ -675,35 +683,27 @@ def _ball_potential(sol: TfSolution, d: float, radius: float) -> float:
     return inside + window
 
 
-def exchange_hole_radius(Z: float, sol: TfSolution, r: float) -> float:
-    """Smallest radius whose ball centered at |x| = r holds TF charge 1/2.
-
-    R_Z(r) = Z^{-1/3} b R_1, where the Z = 1 ball of radius R_1 centred at
-    d = Z^{1/3} r/b (TF units) holds the charge Q = 1/(2Z), monotone in R_1
-    (_ball_charge).  Halley steps on ln Q over ln R (Newton's where the
-    curvature term is large) keep a bracket, else bisect it in ln R.  They
-    start from the local-density ball (3Q)^(1/3) sqrt(d/phi(d)), phi from
-    Sommerfeld's closed form, or d + (3Q/2)^(2/3) if smaller (a ball far out
-    must reach the core), and stop once a step is below 1e-13 + 8.9e-16 R_1
-    or Q is within its rounding bound of 1/(2Z).
-    """
-    _require_positive(Z=Z, r=r)
-    if Z < 0.5:
-        raise InsufficientChargeError(f"total charge {Z} < 1/2: no half-charge ball exists")
-    scale, target = Z ** (1.0 / 3.0), 0.5 / Z
-    d = r * scale / TF_LENGTH_B
+def _hole_radius(sol: TfSolution, Z: float, d: float):
+    """R_1 at d (TF units) as in exchange_hole_radius, the _ball_rows at
+    |R_1 - d| and R_1 + d of the evaluation that stopped the search (None if
+    the step test did) and d's row, which joins the first lookup."""
+    if Z <= 0.5:
+        raise InsufficientChargeError(
+            f"total charge {Z} <= 1/2: the half-charge ball would hold the whole atom")
+    target = 0.5 / Z
     lo, hi, reached = 0.0, d + float(sol.grid[-1]), False
     radius = min(hi, (3.0 * target) ** (1.0 / 3.0) * math.sqrt(d * math.exp(-_sommerfeld_psi(d))),
                  d + (1.5 * target) ** (2.0 / 3.0))
+    *rows, centre = _ball_rows(sol, (abs(radius - d), radius + d, d))
     for _ in range(100):
-        charge, slope, bend, rounding = _ball_charge(sol, d, radius)
+        charge, slope, bend, rounding = _ball_charge(sol, d, radius, *rows)
         if abs(charge - target) <= rounding:
-            break
+            return radius, rows, centre
         if charge > target:
             hi, reached = radius, True
         elif radius == hi:
             raise InsufficientChargeError(
-                f"charge cannot reach 1/2 within radius {hi * TF_LENGTH_B / scale}")
+                f"charge cannot reach 1/2 within radius {hi * TF_LENGTH_B / Z ** (1.0 / 3.0)}")
         else:
             lo = radius
         # g = ln(Q/target) over ln R: g' = k, g'' = k - k^2 + R^2 Q''/Q; a step
@@ -715,30 +715,45 @@ def exchange_hole_radius(Z: float, sol: TfSolution, r: float) -> float:
             step = -g / k / (1.0 - halley if abs(halley) < 0.5 else 1.0)
             new = radius * math.exp(max(-3.0, min(step, 8.0)))
         if abs(new - radius) <= 1e-13 + 8.9e-16 * new:
-            radius = new
-            break
+            return new, None, centre
         if not lo < new < hi:
             new = hi if not reached else math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
         radius = new
-    else:
-        raise ArithmeticError(f"no half-charge radius found at d = {d} (TF units)")
-    return radius * TF_LENGTH_B / scale
+        rows = _ball_rows(sol, (abs(radius - d), radius + d))
+    raise ArithmeticError(f"no half-charge radius found at d = {d} (TF units)")
+
+
+def exchange_hole_radius(Z: float, sol: TfSolution, r: float) -> float:
+    """Smallest radius whose ball centered at |x| = r holds TF charge 1/2.
+
+    R_Z(r) = Z^{-1/3} b R_1, where the Z = 1 ball of radius R_1 centred at
+    d = Z^{1/3} r/b (TF units) holds the charge Q = 1/(2Z), monotone in R_1
+    (_ball_charge).  Halley steps on ln Q over ln R (Newton's where the
+    curvature term is large) keep a bracket, else bisect it in ln R.  They
+    start from the local-density ball (3Q)^(1/3) sqrt(d/phi(d)), phi from
+    Sommerfeld's closed form, or d + (3Q/2)^(2/3) if smaller (a ball far out
+    must reach the core), and stop once a step is below 1e-13 + 8.9e-16 R_1
+    or Q is within its rounding bound of 1/(2Z).  Z <= 1/2 has no radius.
+    """
+    _require_positive(Z=Z, r=r)
+    scale = Z ** (1.0 / 3.0)
+    return _hole_radius(sol, Z, r * scale / TF_LENGTH_B)[0] * TF_LENGTH_B / scale
 
 
 def screening_potential(Z: float, c: float, sol: TfSolution, x: float) -> float:
     """Hole-screened mean-field potential chi(x) in units of mc^2.
 
     chi(x) = c^-2 * int_{|xt - y| > R_Z(xt)} rho_Z(y)/|xt - y| dy with
-    xt = x/c in TF coordinates: the full Newton potential (mean_field) minus
-    that of the charge-1/2 hole ball, Z^{4/3} times that of the Z = 1 ball,
-    which _ball_potential takes from the same node-table moments as the
-    radius.  Satisfies 0 < chi(x) < c^-2 V_Z(x/c) and
-    ||chi||_inf <= C Z^{4/3} c^-2.
+    xt = x/c in TF coordinates: the full Newton potential (mean_field's) minus
+    Z^{4/3} times that of the Z = 1 hole ball (_ball_potential), both from the
+    rows of the radius search itself (its first lookup adds the centre; the
+    window ends are looked up again only if it stopped on the step test).
+    Satisfies 0 < chi(x) < c^-2 V_Z(x/c) and ||chi||_inf <= C Z^{4/3} c^-2.
     """
     _require_positive(Z=Z, c=c, x=x)
-    xt = x / c
-    to_tf = Z ** (1.0 / 3.0) / TF_LENGTH_B
-    radius = exchange_hole_radius(Z, sol, xt)
-    hole = Z ** (4.0 / 3.0) * _ball_potential(sol, xt * to_tf, radius * to_tf) / TF_LENGTH_B
-    full = float(mean_field(Z, sol, xt))
+    d = x / c * Z ** (1.0 / 3.0) / TF_LENGTH_B
+    radius, rows, centre = _hole_radius(sol, Z, d)
+    window = rows or _ball_rows(sol, (abs(radius - d), radius + d))
+    hole = Z ** (4.0 / 3.0) * _ball_potential(sol, d, radius, *window, centre) / TF_LENGTH_B
+    full = Z ** (4.0 / 3.0) * ((centre[0] / d + centre[6]) / TF_LENGTH_B)
     return (full - hole) / (c * c)

@@ -13,10 +13,18 @@ quadrature over the profile, a reference for the exchange-hole kernels.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 from mpmath import mp, mpf, sqrt
-from scipy.integrate import cumulative_simpson, quad, simpson, solve_bvp, solve_ivp
+from scipy.integrate import (
+    IntegrationWarning,
+    cumulative_simpson,
+    quad,
+    simpson,
+    solve_bvp,
+    solve_ivp,
+)
 
 from relscott.thomas_fermi import (
     _KINETIC_PREF,
@@ -155,15 +163,19 @@ def solve_tf_bvp(tol: float) -> tuple[float, float]:
 
 def _shell_integral(sol, f, lo: float, hi: float, kinks=()) -> float:
     """int_lo^hi f(w) dq(w) for rho_1 in Hartree radius w (Z = 1), by quad,
-    split at the profile's domain ends and at the given kinks."""
+    split at the profile's domain ends and at the given kinks.  An
+    IntegrationWarning from quad is raised as an error: an oracle that
+    cannot reach its tolerance must fail, not warn."""
     def integrand(w):
         x = w / TF_LENGTH_B
         return f(w) * sol.phi_at(x) ** 1.5 * math.sqrt(x) / TF_LENGTH_B
 
     ends = [TF_LENGTH_B * float(x) for x in np.exp(sol._table.breaks)] + list(kinks)
     cuts = sorted({lo, hi, *(c for c in ends if lo < c < hi)})
-    return math.fsum(quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
-                     for a, b in zip(cuts[:-1], cuts[1:]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        return math.fsum(quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+                         for a, b in zip(cuts[:-1], cuts[1:]))
 
 
 def ball_charge(sol, d: float, radius: float) -> float:

@@ -1,10 +1,12 @@
 """The array forms the channel sums and the TF profile run on agree bit for
 bit with scalar and per-channel evaluation."""
 
+import math
+
 import numpy as np
 import pytest
 
-from relscott import hurwitz_zeta
+from relscott import density, hurwitz_zeta, mean_field
 from relscott import scott_shift
 from relscott.hydrogenic import difference_over_gamma2_kernel, fine_structure_kernel
 from relscott.quantum_numbers import kappa_bars
@@ -134,3 +136,26 @@ def test_profile_scalar_equals_array(tf_solution, name):
         got = f(float(xi))
         assert type(got) is float
         assert got == want, (name, xi)
+
+
+@pytest.mark.parametrize("name", ["phi_at", "density", "mean_field"])
+def test_scalar_forms_agree(tf_solution, name):
+    # a Python float, an np.float64, a 0-d and a 1-element array give the
+    # same bits below, on and above the grid, and the same error outside the
+    # domain
+    f, message = {
+        "phi_at": (tf_solution.phi_at, "phi_at requires finite x > 0"),
+        "density": (density(3.0, tf_solution), "density requires finite r > 0"),
+        "mean_field": (lambda r: mean_field(3.0, tf_solution, r), "mean_field requires finite r > 0"),
+    }[name]
+    forms = (float, np.float64, np.array, lambda v: np.array([v]))
+    for v in (1e-9, 0.3, 1.0, 5.0, 1e5):
+        *scalars, one = [f(form(v)) for form in forms]
+        assert [type(s) for s in scalars] == [float] * 3
+        assert one.shape == (1,)
+        assert {s.hex() for s in scalars} == {float(one[0]).hex()}, (name, v)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        for form in forms:
+            with pytest.raises(ValueError) as err:
+                f(form(bad))
+            assert str(err.value) == message, (name, bad, form)

@@ -23,6 +23,7 @@ from relscott.thomas_fermi import (
     TF_LENGTH_B,
     _ball_charge,
     _ball_potential,
+    _ball_rows,
 )
 
 from _oracles import (
@@ -257,9 +258,12 @@ def test_moment_kernels_match_the_node_sums(fine_solution, d):
     # fallback) against quadrature of the profile, at and around the
     # half-charge radius
     root = exchange_hole_radius(1.0, fine_solution, d)
+    dt = d / TF_LENGTH_B
     for radius in (0.5 * root, root * (1 - 1e-6), root, root * (1 + 1e-6), 2.0 * root):
-        charge = _ball_charge(fine_solution, d / TF_LENGTH_B, radius / TF_LENGTH_B)[0]
-        hole = _ball_potential(fine_solution, d / TF_LENGTH_B, radius / TF_LENGTH_B) / TF_LENGTH_B
+        rt = radius / TF_LENGTH_B
+        a, b, c = _ball_rows(fine_solution, (abs(rt - dt), rt + dt, dt))
+        charge = _ball_charge(fine_solution, dt, rt, a, b)[0]
+        hole = _ball_potential(fine_solution, dt, rt, a, b, c) / TF_LENGTH_B
         assert abs(charge - ball_charge(fine_solution, d, radius)) <= 1e-12
         assert hole == pytest.approx(ball_potential(fine_solution, d, radius), rel=1e-10, abs=0.0)
 
@@ -278,7 +282,7 @@ def test_hole_radius_scaling(fine_solution):
     z, d = 8.0, 0.5
     rhat = brentq(
         lambda rr: ball_charge(fine_solution, z ** (1.0 / 3.0) * d, rr) - 0.5 / z,
-        1e-8,
+        1e-3,
         2000.0,
         xtol=1e-13,
     )
@@ -290,8 +294,10 @@ def test_hole_radius_scaling(fine_solution):
 def test_hole_radius_domain(tf_solution):
     with pytest.raises(ValueError):
         exchange_hole_radius(1.0, tf_solution, 0.0)
-    with pytest.raises(InsufficientChargeError):
-        exchange_hole_radius(0.4, tf_solution, 1.0)
+    # at Z = 1/2 the ball would hold the whole atom: rejected before any search
+    for z in (0.4, 0.5):
+        with pytest.raises(InsufficientChargeError, match=f"^total charge {z} <= 1/2"):
+            exchange_hole_radius(z, tf_solution, 1.0)
 
 
 def test_screening_bounds(tf_solution):
@@ -324,6 +330,21 @@ def test_screening_oracle_value(tf_solution):
     v3, _ = quad(outer, 60.0, np.inf, limit=200)
     oracle = v1 + v2 + v3
     assert screening_potential(1.0, 1.0, tf_solution, 1.0) == pytest.approx(oracle, abs=1e-6)
+
+
+@pytest.mark.parametrize("z", [1.0, 92.0])
+def test_screening_matches_the_quad_oracle(fine_solution, z):
+    # the full potential less Z^(4/3) times the quadrature potential of the
+    # Z = 1 ball at the library's own radius
+    c = 137.0
+    scale = z ** (1.0 / 3.0)
+    for x in (c * r for r in (1e-9, 1e-6, 0.05, 1.0, 60.0, 3000.0)):
+        xt = x / c  # the point screening_potential works at
+        radius = exchange_hole_radius(z, fine_solution, xt)
+        hole = z ** (4.0 / 3.0) * ball_potential(fine_solution, scale * xt, scale * radius)
+        oracle = (mean_field(z, fine_solution, xt) - hole) / (c * c)
+        assert screening_potential(z, c, fine_solution, x) == pytest.approx(
+            oracle, rel=1e-10, abs=0.0), (z, xt)
 
 
 def test_screening_far_field(tf_solution):
@@ -364,6 +385,9 @@ def test_screening_domain(tf_solution):
         screening_potential(1.0, 1.0, tf_solution, 0.0)
     with pytest.raises(ValueError):
         screening_potential(1.0, 0.0, tf_solution, 1.0)
+    for z in (0.4, 0.5):
+        with pytest.raises(InsufficientChargeError, match=f"^total charge {z} <= 1/2"):
+            screening_potential(z, 1.0, tf_solution, 1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
