@@ -11,8 +11,9 @@ Evaluation strategy (all pieces deterministic):
     array at a time;
   * levels n >= _N_SERIES: sum_{k>=3} c_k zeta(k, l + _N_SERIES), the Taylor
     series of f(u) = (lambda_D - lambda_S)/gamma^2 in u = 1/N, cut at the
-    smallest order whose proven remainder (|c_k| <= 0.12 4^k) fits tol, from
-    one zeta table over all channels;
+    smallest order whose proven remainder (|c_k| <= 0.12 4^k) fits tol (all
+    candidate orders bounded in one pass), from one zeta table over all
+    channels, whose a = l + _N_SERIES >= 32 need no zeta head sum;
   * the channels l >= L in closed form: the fine-structure model, its pairs
     telescoped into three Hurwitz zeta values at L + 1, plus
     -(gamma^4/4) (l + 1/2)^-4 per l, the leading part of what the model
@@ -22,7 +23,7 @@ Evaluation strategy (all pieces deterministic):
   * totals by math.fsum, correctly rounded: no order or block size changes a bit.
 
 tail_estimate adds the series remainder bound, the l-remainder bound and a
-rounding floor, so |true - returned| <= tail_estimate.
+rounding floor, so |true - returned| <= tail_estimate; ShiftResult keeps each.
 """
 
 from __future__ import annotations
@@ -71,6 +72,10 @@ class ShiftResult:
     l_max: int  # channels l <= l_max are summed; l > l_max by the l-tail model
     n_max: int  # levels n <= n_max are summed directly; n > n_max by the series
     target_tol: float
+    series_order: int  # K: the series in 1/N is cut after the u^K term
+    series_bound: float  # tail_estimate = (series_bound + l_bound) + rounding_floor
+    l_bound: float
+    rounding_floor: float
 
 
 @dataclass(frozen=True)
@@ -88,10 +93,6 @@ class ZetaIdentityCheck(NamedTuple):
     double_sum: float
     tail_bound: float
     zeta_difference: float
-
-
-def _as_coupling(g: Coupling | float) -> Coupling:
-    return g if isinstance(g, Coupling) else Coupling(float(g))
 
 
 def _channel_arrays(l_count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +120,7 @@ def _weighted_channel_sums(kernel, gamma: float, l: np.ndarray, kb: np.ndarray, 
     return 2.0 * kb * sums
 
 
-def _taylor_coefficients(gamma: float, kb: np.ndarray, order: int) -> list[np.ndarray]:
+def _taylor_coefficients(gamma: float, kb: np.ndarray, order: int) -> np.ndarray:
     """c_3..c_order of f(u) = (lambda_D - lambda_S)/gamma^2 = sum_k c_k u^k,
     u = 1/N, one array entry per channel kb.  f = h + u^2/2 with
     1 + gamma^2 h = sqrt(1 - x), x = gamma^2 z, z = u^2/D and
@@ -131,28 +132,29 @@ def _taylor_coefficients(gamma: float, kb: np.ndarray, order: int) -> list[np.nd
     delta <= 1 and kb delta <= gamma^2 <= 1 give |D| >= 3/8 and |x| <= 1/6
     on |u| = 1/4, so f = -(u^2/2)(1 - D)/D + (sqrt(1 - x) - 1 + x/2)/gamma^2
     has |f| <= 5/96 + 1/240 < _F_MAX there.
+    Row k of the table h holds h_k; each convolution is one einsum, ascending i.
     """
     g2 = gamma * gamma
     delta = g2 / (kb + np.sqrt((kb - gamma) * (kb + gamma)))
-    inv_d = [np.ones_like(kb), 2.0 * delta]
+    two_delta, two_kb_delta = 2.0 * delta, 2.0 * kb * delta
+    inv_d = [np.ones_like(kb), two_delta]
     for _ in range(2, order - 1):
-        inv_d.append(2.0 * delta * inv_d[-1] - 2.0 * kb * delta * inv_d[-2])
-    h = [None, None, np.full_like(kb, -0.5)]
+        inv_d.append(two_delta * inv_d[-1] - two_kb_delta * inv_d[-2])
+    h = np.full((order + 1, kb.size), -0.5)  # rows 0, 1 unused, 3.. overwritten
     for k in range(3, order + 1):
-        conv = sum(h[i] * h[k - i] for i in range(2, k - 1))
-        h.append(-0.5 * inv_d[k - 2] - 0.5 * g2 * conv)
+        conv = np.einsum("ij,ij->j", h[2 : k - 1], h[k - 2 : 1 : -1])
+        h[k] = -0.5 * inv_d[k - 2] - 0.5 * g2 * conv
     return h[3:]
 
 
 def _series_sums(gamma: float, l: np.ndarray, kb: np.ndarray, order: int) -> np.ndarray:
     """Per channel, 2kb * sum_{k=3..order} c_k zeta(k, l + _N_SERIES): the
-    levels n >= _N_SERIES."""
+    levels n >= _N_SERIES.  One zeta row per order over l = 0..max(l), shared
+    by an l's pair; the orders are summed smallest terms first."""
     k = np.arange(3.0, order + 1.0)[:, None]
-    ls, of_channel = np.unique(l, return_inverse=True)  # shared by an l's pair
-    zetas = hurwitz_zeta(k, ls + _N_SERIES)[:, of_channel]
+    zetas = hurwitz_zeta(k, np.arange(l.max() + 1.0) + _N_SERIES)[:, l.astype(np.intp)]
     coeffs = _taylor_coefficients(gamma, kb, order)
-    # smallest terms first
-    return 2.0 * kb * sum(c * z for c, z in zip(coeffs[::-1], zetas[::-1]))
+    return 2.0 * kb * np.einsum("kj,kj->j", coeffs[::-1], zetas[::-1])
 
 
 def _series_order(kb: np.ndarray, a: np.ndarray, budget: float) -> tuple[int, float]:
@@ -161,17 +163,19 @@ def _series_order(kb: np.ndarray, a: np.ndarray, budget: float) -> tuple[int, fl
     Per channel, |sum_{k>K} c_k zeta(k, a)| <= _F_MAX sum_{k>K} 4^k zeta(k, a),
     and zeta(k, a) <= a^-k + a^(1-k)/(k-1) gives, with q = 4/a <= 1/8,
     at most _F_MAX q^(K+1) (1 + a/K) / (1 - q); summed with weight 2kb.
+    As q^(K+1) (1 + a/K) = q^K (q + 4/K) < 2 q^K, 2 max(q)^K sum(weight) fixes the
+    last order, and one table bounds all up to it.  Raises ValueError if none fits.
     """
     q = 4.0 / a
     weight = 2.0 * _F_MAX * kb / (1.0 - q)
-    order = 3
-    q_pow = (q * q) * (q * q)
-    while True:
-        bound = float(np.sum(weight * q_pow * (1.0 + a / order)))
-        if bound <= budget:
-            return order, bound
-        order += 1
-        q_pow = q_pow * q
+    span = math.log(2.0 * float(np.sum(weight))) - math.log(budget) if budget > 0.0 else 0.0
+    last = max(3, math.ceil(span / -math.log(float(q.max()))))
+    q_pow = np.multiply.accumulate(np.vstack([(q * q) * (q * q)] + [q] * (last - 3)))
+    bounds = (weight * q_pow * (1.0 + a / np.arange(3.0, last + 1.0)[:, None])).sum(axis=1)
+    i = int(np.argmax(bounds <= budget))  # the first order that fits, if any
+    if not bounds[i] <= budget:
+        raise ValueError(f"no series order fits the remainder budget {budget}")
+    return 3 + i, float(bounds[i])
 
 
 def direct_channel_sum(gamma: float, l_cut: int, n_cut: int) -> float:
@@ -250,13 +254,13 @@ def shift(g: Coupling | float, tol: float | None = None) -> ShiftResult:
     rounding floor, still bounds the error.  Raises ValueError on domain
     violations (gamma outside [0,1), tol outside [1e-10, 1e-2]).
     """
-    coupling = _as_coupling(g)
+    coupling = g if isinstance(g, Coupling) else Coupling(float(g))
     gamma = coupling.gamma
     tol = DEFAULT_TOL if tol is None else float(tol)
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
     if gamma == 0.0:
-        return ShiftResult(coupling, 0.0, 0.0, 0, 0, tol)
+        return ShiftResult(coupling, 0.0, 0.0, 0, 0, tol, 0, 0.0, 0.0, 0.0)
 
     # the l >= L error is at most C zeta(6, L + 1/2) <= C L^-5/5 <= 0.4 tol
     c = _l_tail_bound_coefficient(gamma)
@@ -270,8 +274,10 @@ def shift(g: Coupling | float, tol: float | None = None) -> ShiftResult:
     series = _series_sums(gamma, l, kb, order)
     value = math.fsum((direct + series).tolist())
     floor = 64.0 * sys.float_info.epsilon * (1.0 + abs(value))  # rounding
-    tail_estimate = series_res + l_res + floor
-    return ShiftResult(coupling, value + l_tail, tail_estimate, l_count - 1, _N_SERIES - 1, tol)
+    return ShiftResult(
+        coupling, value + l_tail, series_res + l_res + floor, l_count - 1, _N_SERIES - 1, tol,
+        order, series_res, l_res, floor,
+    )
 
 
 def scott_coefficient(g: Coupling | float, tol: float | None = None) -> ScottCoefficient:

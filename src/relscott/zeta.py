@@ -4,37 +4,29 @@ zeta(s, a) = sum_{k=0}^{M-1} (a+k)^-s
            + T^(1-s)/(s-1) + T^-s/2
            + sum_{r=1}^{R} B_{2r}/(2r)! * s(s+1)...(s+2r-2) * T^(-s-2r+1)
 
-with T = a + M.  For real s > 1 the truncation error is bounded by the first
-omitted correction term; with T >= max(12, s) and R = 10 that term is far below
-1e-16 for every s used here, so results are accurate to double rounding
-(absolute error well under 1e-14).
+with T = a + M and M the fewest terms that make T >= max(12, s): M = 0, and no
+head sum is formed, where a >= max(12, s) already.  For real s > 1 the
+truncation error is bounded by the first omitted correction term; with
+T >= max(12, s) and R = 10 that term is far below 1e-16 for every s used here,
+so results are accurate to double rounding (absolute error well under 1e-14).
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 import numpy as np
 
-# B_{2r}/(2r)! for r = 1..10
-_EM_COEFFS = tuple(
-    float(b / Fraction(math.factorial(2 * r)))
-    for r, b in enumerate(
-        (
-            Fraction(1, 6),
-            Fraction(-1, 30),
-            Fraction(1, 42),
-            Fraction(-1, 30),
-            Fraction(5, 66),
-            Fraction(-691, 2730),
-            Fraction(7, 6),
-            Fraction(-3617, 510),
-            Fraction(43867, 798),
-            Fraction(-174611, 330),
-        ),
-        start=1,
-    )
+# B_{2r}/(2r)! for r = 1..10, correctly rounded
+_EM_COEFFS = (
+    0.08333333333333333,
+    -0.001388888888888889,
+    3.306878306878307e-05,
+    -8.267195767195768e-07,
+    2.08767569878681e-08,
+    -5.284190138687493e-10,
+    1.3382536530684679e-11,
+    -3.3896802963225827e-13,
+    8.586062056277845e-15,
+    -2.174868698558062e-16,
 )
 
 
@@ -55,20 +47,22 @@ def hurwitz_zeta(s: float | np.ndarray, a: float | np.ndarray) -> float | np.nda
             culprit = given if values.ndim == 0 else values[bad][0]
             raise ValueError(f"hurwitz_zeta requires {name} > {low}, got {name}={culprit}")
 
-    # head: the m terms that lift a to T = a + m >= max(12, s), taken only
-    # where m > 0, masked per element, ascending term size, compensated
+    # head: the m terms that lift a to T = a + m >= max(12, s), where m > 0 (if
+    # anywhere), masked per element, ascending term size, compensated
     m = np.maximum(0.0, np.ceil(np.maximum(12.0, order) - arg))
     short = m > 0.0
-    a_h, s_h, m_h = (np.broadcast_to(v, m.shape)[short] for v in (arg, order, m))
-    part = comp = np.zeros(m_h.shape)
-    for k in range(int(m_h.max(initial=0.0)) - 1, -1, -1):
-        live = k < m_h
-        y = np.float_power(a_h + k, -s_h) - comp
-        t = part + y
-        comp = np.where(live, (t - part) - y, comp)
-        part = np.where(live, t, part)
-    head = np.zeros(m.shape)
-    head[short] = part
+    head = 0.0
+    if short.any():
+        a_h, s_h, m_h = (np.broadcast_to(v, m.shape)[short] for v in (arg, order, m))
+        part = comp = np.zeros(m_h.shape)
+        for k in range(int(m_h.max()) - 1, -1, -1):
+            live = k < m_h
+            y = np.float_power(a_h + k, -s_h) - comp
+            t = part + y
+            comp = np.where(live, (t - part) - y, comp)
+            part = np.where(live, t, part)
+        head = np.zeros(m.shape)
+        head[short] = part
 
     big_t = arg + m
     tail = np.float_power(big_t, 1.0 - order) / (order - 1.0) + 0.5 * np.float_power(big_t, -order)

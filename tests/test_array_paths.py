@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relscott import density, hurwitz_zeta, mean_field
 from relscott import scott_shift
@@ -57,6 +59,27 @@ def test_blocked_series_sums_equal_channel_loop(block, monkeypatch):
     assert scott_shift._series_sums(gamma, l, kb, order).tolist() == want
 
 
+@pytest.mark.parametrize("gamma", [0.05, 0.6, 0.9375, 0.9999])
+def test_series_sums_equal_the_order_by_order_loop(gamma):
+    # the table forms keep the loop's order of operations: h_i h_{k-i} in
+    # ascending i, and the series from the highest order down
+    order, n0 = 15, scott_shift._N_SERIES
+    l, kb = scott_shift._channel_arrays(40)
+    g2 = gamma * gamma
+    delta = g2 / (kb + np.sqrt((kb - gamma) * (kb + gamma)))
+    inv_d = [np.ones_like(kb), 2.0 * delta]
+    for _ in range(2, order - 1):
+        inv_d.append(2.0 * delta * inv_d[-1] - 2.0 * kb * delta * inv_d[-2])
+    h = [None, None, np.full_like(kb, -0.5)]
+    for k in range(3, order + 1):
+        conv = sum(h[i] * h[k - i] for i in range(2, k - 1))
+        h.append(-0.5 * inv_d[k - 2] - 0.5 * g2 * conv)
+    assert np.array_equal(scott_shift._taylor_coefficients(gamma, kb, order), h[3:])
+    zetas = [[hurwitz_zeta(float(k), x + n0) for x in l.tolist()] for k in range(3, order + 1)]
+    want = 2.0 * kb * sum(c * np.array(z) for c, z in zip(h[:2:-1], zetas[::-1]))
+    assert np.array_equal(scott_shift._series_sums(gamma, l, kb, order), want)
+
+
 def test_shift_bits_do_not_depend_on_block_size(monkeypatch):
     want = scott_shift.shift(0.9, 1e-9)
     for block in (5, 1000, 1 << 15):
@@ -92,6 +115,25 @@ def test_array_hurwitz_equals_scalar_calls(s):
     assert grid.shape == (4, a.size)
     for row, order in zip(grid, orders[:, 0]):
         assert np.array_equal(row, [hurwitz_zeta(float(order), float(x)) for x in a])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    s=st.floats(1.05, 40.0),
+    offsets=st.lists(st.floats(0.0, 200.0), max_size=12),
+    head=st.booleans(),
+)
+def test_array_hurwitz_elements_equal_scalar_calls(s, offsets, head):
+    # without head every a >= max(12, s), so the call forms no head sum; with
+    # head the array mixes a below max(12, s) (for s > 12 also 12 <= a < s),
+    # a = max(12, s) exactly and a above it
+    edge = max(12.0, s)
+    if head:
+        a = [0.1 + x for x in offsets] + [0.75 * edge, np.nextafter(edge, 0.0), edge]
+    else:
+        a = [edge + x for x in offsets] + [edge]
+    got = hurwitz_zeta(s, np.array(a))
+    assert got.tolist() == [hurwitz_zeta(s, x) for x in a]
 
 
 def test_array_hurwitz_keeps_shape():

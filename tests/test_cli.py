@@ -105,11 +105,13 @@ def test_tf_default_run():
 
 
 def test_import_does_not_load_scipy():
-    # numpy is the only runtime dependency: importing the package, the TF
-    # commands and the four field functions leave scipy unloaded
+    # numpy is the only runtime dependency: importing the package loads none of
+    # scipy, fractions or decimal, and the TF commands and the four field
+    # functions leave scipy unloaded
     code = f"""
 import contextlib, io, sys
 import relscott
+print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'fractions', 'decimal')))
 from relscott.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["tf"], ["energy", "--Z", "80"], ["compare", "--nist", {SAMPLE!r}]):
@@ -123,7 +125,7 @@ print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
 """
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "[]\n"
+    assert res.stdout == "[]\n[]\n"
 
 
 def test_tf_output_does_not_depend_on_blas_threads():

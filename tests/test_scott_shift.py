@@ -105,6 +105,18 @@ def test_shift_gamma_zero():
     res = shift(0.0)
     assert res.value == 0.0
     assert res.tail_estimate == 0.0
+    assert (res.series_order, res.series_bound, res.l_bound, res.rounding_floor) == (0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 0.5, 0.9, 0.9999])
+@pytest.mark.parametrize("tol", [1e-10, 1e-8, 1e-2])
+def test_tail_estimate_adds_its_three_parts(gamma, tol):
+    # in the order shift adds them: series bound, l bound, rounding floor
+    res = shift(gamma, tol)
+    assert res.tail_estimate == (res.series_bound + res.l_bound) + res.rounding_floor
+    assert type(res.series_order) is int and res.series_order >= 3
+    for part in (res.series_bound, res.l_bound, res.rounding_floor):
+        assert type(part) is float and part > 0.0
 
 
 def test_shift_domain_errors():
@@ -410,6 +422,40 @@ def test_level_difference_bounded_on_the_cauchy_circle():
             f = u * u / 2.0 - z / (1.0 + np.sqrt(1.0 - gamma**2 * z))
             worst = max(worst, float(np.abs(f).max()))
     assert worst <= scott_shift._F_MAX
+
+
+def _series_order_bounds(kb, a, last):
+    """The remainder bound of each order 3..last, one order at a time."""
+    q = 4.0 / a
+    weight = 2.0 * scott_shift._F_MAX * kb / (1.0 - q)
+    q_pow = (q * q) * (q * q)
+    bounds = {}
+    for order in range(3, last + 1):
+        bounds[order] = float(np.sum(weight * q_pow * (1.0 + a / order)))
+        q_pow = q_pow * q
+    return bounds
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 0.3, 0.9, 0.9999])
+@pytest.mark.parametrize("tol", [1e-10, 1e-9, 1e-8, 1e-5, 1e-2])
+def test_series_order_is_the_smallest_that_fits(gamma, tol):
+    # bound(K) <= budget < bound(K - 1), with shift's own channels and budget
+    res = shift(gamma, tol)
+    l, kb = scott_shift._channel_arrays(res.l_max + 1)
+    a = l + scott_shift._N_SERIES
+    budget = 0.9 * tol - res.l_bound
+    order, bound = scott_shift._series_order(kb, a, budget)
+    assert (order, bound) == (res.series_order, res.series_bound)
+    ref = _series_order_bounds(kb, a, order)
+    assert ref[order] == bound <= budget
+    assert order == 3 or ref[order - 1] > budget
+
+
+@pytest.mark.parametrize("budget", [0.0, -1e-9, float("nan")])
+def test_series_order_raises_when_no_order_fits(budget):
+    l, kb = scott_shift._channel_arrays(8)
+    with pytest.raises(ValueError, match="no series order fits"):
+        scott_shift._series_order(kb, l + scott_shift._N_SERIES, budget)
 
 
 def test_series_order_bound_covers_the_cauchy_remainder():

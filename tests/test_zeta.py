@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from relscott import hurwitz_zeta, riemann_zeta
+from relscott.zeta import _EM_COEFFS
 
 mpmath.mp.dps = 30
 
@@ -51,3 +53,14 @@ def test_domain_errors():
         hurwitz_zeta(1.0, 1.0)
     with pytest.raises(ValueError):
         hurwitz_zeta(3.0, 0.0)
+
+
+def test_euler_maclaurin_coefficients_are_the_rounded_fractions():
+    # B_{2r}/(2r)! for r = 1..10, each literal the double nearest the fraction
+    bernoulli = (
+        Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66),
+        Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510), Fraction(43867, 798),
+        Fraction(-174611, 330),
+    )
+    want = tuple(float(b / math.factorial(2 * r)) for r, b in enumerate(bernoulli, start=1))
+    assert _EM_COEFFS == want
