@@ -20,7 +20,7 @@ from .atomic_energy import (
     ingest_energy_table,
     ingest_reference_table,
 )
-from .scott_shift import schwinger_shift, shift
+from .scott_shift import TOL_MAX, TOL_MIN, schwinger_shift, shift
 from .thomas_fermi import solve_tf, tf_energy
 
 COMPARISON_COLUMNS = ("Z", "gamma", "empirical_q", "model_q", "schwinger_q", "reference_q")
@@ -89,6 +89,14 @@ def _shift_record(gamma: float, tol: float) -> dict:
     }
 
 
+def _solve_tf_for_shift_tol(tol: float):
+    """The TF profile for a command whose --tol also goes to shift: tol must
+    lie in shift's range, and the solve takes it clamped into solve_tf's."""
+    if not (TOL_MIN <= tol <= TOL_MAX):
+        raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
+    return solve_tf(min(tol, 1e-4))
+
+
 def _cmd_shift(args: argparse.Namespace) -> int:
     _emit(args, _shift_record(args.gamma, args.tol))
     return 0
@@ -126,8 +134,9 @@ def _cmd_energy(args: argparse.Namespace) -> int:
     alpha = PhysicalConstants(args.alpha).alpha
     gamma = args.gamma if args.gamma is not None else alpha * args.Z
     if not (0.0 <= gamma < 1.0):
-        raise ValueError(f"coupling gamma = {gamma} outside [0, 1); pass --gamma explicitly")
-    sol = solve_tf(min(args.tol, 1e-4))
+        hint = "" if args.gamma is not None else "; pass --gamma explicitly"
+        raise ValueError(f"coupling gamma = {gamma} outside [0, 1){hint}")
+    sol = _solve_tf_for_shift_tol(args.tol)
     q = 0.5 + shift(gamma, args.tol).value
     e_tf = tf_energy(args.Z, sol)
     _emit(
@@ -141,7 +150,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     constants = PhysicalConstants(args.alpha)
     records = ingest_energy_table(_read(args.nist, "energy table"))
     reference = ingest_reference_table(_read(args.ref, "reference table")) if args.ref else None
-    sol = solve_tf(min(args.tol, 1e-4))
+    sol = _solve_tf_for_shift_tol(args.tol)
     rows = comparison_table(records, reference, constants, sol, args.tol)
     _emit(args, [{c: getattr(r, c) for c in COMPARISON_COLUMNS} for r in rows], COMPARISON_COLUMNS)
     return 0

@@ -193,32 +193,24 @@ def _lobatto(n: int):
     return nodes, weights, diff, integ
 
 
-def _solve_banded(a, b):
-    """Solve a x = b by Gaussian elimination with partial pivoting.
+def _eliminate(a, b):
+    """Solve the stack of systems a x = b, a (m, n, n) and b (m, n, r), by
+    Gaussian elimination with partial pivoting in each system.
 
     Only elementwise numpy is used, no BLAS or LAPACK, so the bits do not
-    depend on the thread count; the updates stay inside the band of a
-    (widened by the row swaps).
+    depend on the thread count.
     """
-    a, b = a.copy(), b.copy()
-    n = len(b)
-    rows, cols = np.nonzero(a)
-    lower = int(np.max(rows - cols))
-    upper = int(np.max(cols - rows)) + lower
+    m, n = a.shape[:2]
+    ab = np.concatenate((a, b), axis=2)
+    systems = np.arange(m)
     for k in range(n - 1):
-        r, c = min(n, k + lower + 1), min(n, k + upper + 1)
-        p = k + int(np.abs(a[k:r, k]).argmax())
-        if p != k:
-            a[(k, p), k:c] = a[(p, k), k:c]
-            b[k], b[p] = b[p], b[k]
-        m = a[k + 1:r, k] / a[k, k]
-        a[k + 1:r, k + 1:c] -= m[:, None] * a[k, k + 1:c]
-        b[k + 1:r] -= m * b[k]
-    x = np.zeros(n)
+        p = k + np.abs(ab[:, k:, k]).argmax(axis=1)
+        ab[systems, p], ab[:, k] = ab[:, k], ab[systems, p]
+        ab[:, k + 1:, k:] -= (ab[:, k + 1:, k] / ab[:, k, k, None])[:, :, None] * ab[:, None, k, k:]
     for k in range(n - 1, -1, -1):
-        c = min(n, k + upper + 1)
-        x[k] = (b[k] - (a[k, k + 1:c] * x[k + 1:c]).sum()) / a[k, k]
-    return x
+        ab[:, k, n:] /= ab[:, k, k, None]
+        ab[:, :k, n:] -= ab[:, :k, k, None] * ab[:, None, k, n:]
+    return ab[:, :, n:]
 
 
 def _per_domain(matrix, values):
@@ -358,7 +350,11 @@ def _collocation_solve(t_nodes, diff):
     value and log-slope with unknown tau = F x_end^-sigma.  The iteration
     starts from Sommerfeld's closed form phi ~ (1 + (x^3/144)^(sigma/3))^(-3/sigma),
     which has the right value at the origin and the right 144/x^3 decay, so
-    no slope is needed up front.  Returns psi, psi_t and F.
+    no slope is needed up front.  Each Newton step keeps the block shape:
+    one stacked elimination makes every domain's interior step affine in its
+    end steps, basis times (1, first, last), and the 2 domains + 1 boundary
+    rows contracted with it leave a square system in the end steps and tau.
+    Returns psi, psi_t and F.
     """
     domains, size = t_nodes.shape
     n = size - 1
@@ -369,61 +365,60 @@ def _collocation_solve(t_nodes, diff):
     source = 4.0 * np.exp(3.0 * t_nodes)
     diff2 = np.einsum("kij,kjl->kil", diff, diff)
     far_decay = x_end ** (-DECAY_SIGMA)
+    k = np.arange(domains - 1)
 
     psi = _sommerfeld_psi(x)
     tau = 13.27 * far_decay
-    unknowns = domains * size + 1
-    last = unknowns - 2  # row and column of psi at the far end
     for _ in range(_NEWTON_MAX_STEPS):
         psi_t = _per_domain(diff, psi)
         src = source * np.exp(0.5 * psi)
-        res = np.empty(unknowns)
-        jac = np.zeros((unknowns, unknowns))
 
         # collocation rows at the interior nodes of each domain
         inner = _per_domain(diff2, psi) - 2.0 * psi_t + psi_t * psi_t - src
         block = diff2 + 2.0 * (psi_t - 1.0)[:, :, None] * diff
         block[:, np.arange(size), np.arange(size)] -= 0.5 * src
-        for k in range(domains):
-            rows = slice(k * size + 1, k * size + n)
-            res[rows] = inner[k, 1:n]
-            jac[rows, k * size:(k + 1) * size] = block[k, 1:n]
+        interior = block[:, 1:n]
+        basis = np.zeros((domains, size, 3))
+        basis[:, [0, n], 1:] = np.eye(2)
+        basis[:, 1:n] = _eliminate(interior[:, :, 1:n], -np.concatenate(
+            (inner[:, 1:n, None], interior[:, :, [0, n]]), axis=2))
+
+        # boundary rows over (row, domain, node), their tau column and residual
+        lin = np.zeros((2 * domains + 1, domains, size))
+        lin_tau, res = np.zeros(2 * domains + 1), np.empty(2 * domains + 1)
 
         # Robin condition at the origin: exp(psi)(1 - psi_t/2) = 1 - (2/3) v0^3
         e0 = math.exp(psi[0, 0])
         res[0] = e0 * (1.0 - 0.5 * psi_t[0, 0]) - robin
-        jac[0, :size] = -0.5 * e0 * diff[0, 0]
-        jac[0, 0] += e0 * (1.0 - 0.5 * psi_t[0, 0])
+        lin[0, 0] = -0.5 * e0 * diff[0, 0]
+        lin[0, 0, 0] += e0 * (1.0 - 0.5 * psi_t[0, 0])
 
-        # continuity of psi (last row of domain k) and psi_t (first of k+1)
-        for k in range(domains - 1):
-            end, start = k * size + n, (k + 1) * size
-            res[end] = psi[k, n] - psi[k + 1, 0]
-            jac[end, end] = 1.0
-            jac[end, start] = -1.0
-            res[start] = psi_t[k, n] - psi_t[k + 1, 0]
-            jac[start, k * size:start] = diff[k, n]
-            jac[start, start:start + size] -= diff[k + 1, 0]
+        # continuity of psi and psi_t from the end of domain k to the start of k+1
+        res[1:domains], res[domains:-2] = psi[:-1, n] - psi[1:, 0], psi_t[:-1, n] - psi_t[1:, 0]
+        lin[1 + k, k, n], lin[1 + k, k + 1, 0] = 1.0, -1.0
+        lin[domains + k, k], lin[domains + k, k + 1] = diff[:-1, n], -diff[1:, 0]
 
         # far end: psi = ln(144 u / x^3), psi_t / 2 = x phi'/phi = -3 + du/u
         u, du, u_tau, du_tau = _decay_factor(tau)
-        res[last] = psi[-1, n] - (math.log(144.0 / x_end**3) + math.log(u))
-        jac[last, last] = 1.0
-        jac[last, -1] = -u_tau / u
+        res[-2] = psi[-1, n] - (math.log(144.0 / x_end**3) + math.log(u))
         res[-1] = 0.5 * psi_t[-1, n] - (-3.0 + du / u)
-        jac[-1, last - n:last + 1] = 0.5 * diff[-1, n]
-        jac[-1, -1] = -(du_tau * u - du * u_tau) / (u * u)
+        lin[-2, -1, n], lin[-1, -1] = 1.0, 0.5 * diff[-1, n]
+        lin_tau[-2:] = -u_tau / u, -(du_tau * u - du * u_tau) / (u * u)
 
-        step = _solve_banded(jac, -res)
-        if not np.all(np.isfinite(step)):
+        ends = np.einsum("rkj,kjc->rkc", lin, basis)
+        system = np.concatenate((ends[:, :, 1:].reshape(len(res), -1), lin_tau[:, None]), axis=1)
+        rhs = -(res + ends[:, :, 0].sum(axis=1))
+        solution = _eliminate(system[None], rhs[None, :, None])[0, :, 0]
+        step = basis[:, :, 0] + _per_domain(basis[:, :, 1:], solution[:-1].reshape(domains, 2))
+        if not (np.isfinite(solution).all() and np.isfinite(step).all()):
             break
-        psi = psi + step[:-1].reshape(domains, size)
-        tau += step[-1]
-        if np.max(np.abs(step[:-1])) <= _NEWTON_STEP_TOL:
+        psi = psi + step
+        tau += solution[-1]
+        if np.max(np.abs(step)) <= _NEWTON_STEP_TOL:
             return psi, _per_domain(diff, psi), tau / far_decay
     raise TfConvergenceError(
         "Newton iteration on the collocation equations did not converge: "
-        f"residual {np.max(np.abs(res)):.3e}"
+        f"residual {max(np.max(np.abs(inner[:, 1:n])), np.max(np.abs(res))):.3e}"
     )
 
 

@@ -47,22 +47,16 @@ def hurwitz_zeta(s: float | np.ndarray, a: float | np.ndarray) -> float | np.nda
             culprit = given if values.ndim == 0 else values[bad][0]
             raise ValueError(f"hurwitz_zeta requires {name} > {low}, got {name}={culprit}")
 
-    # head: the m terms that lift a to T = a + m >= max(12, s), where m > 0 (if
-    # anywhere), masked per element, ascending term size, compensated
+    # head: the m terms that lift a to T = a + m >= max(12, s), ascending term
+    # size, compensated; an element's sum and compensation stay exactly 0
+    # until its first term, k = m - 1
     m = np.maximum(0.0, np.ceil(np.maximum(12.0, order) - arg))
-    short = m > 0.0
-    head = 0.0
-    if short.any():
-        a_h, s_h, m_h = (np.broadcast_to(v, m.shape)[short] for v in (arg, order, m))
-        part = comp = np.zeros(m_h.shape)
-        for k in range(int(m_h.max()) - 1, -1, -1):
-            live = k < m_h
-            y = np.float_power(a_h + k, -s_h) - comp
-            t = part + y
-            comp = np.where(live, (t - part) - y, comp)
-            part = np.where(live, t, part)
-        head = np.zeros(m.shape)
-        head[short] = part
+    head = comp = 0.0
+    for k in range(int(m.max(initial=0.0)) - 1, -1, -1):
+        y = np.float_power(arg + k, -order, out=np.zeros(m.shape), where=k < m) - comp
+        t = head + y
+        comp = (t - head) - y
+        head = t
 
     big_t = arg + m
     tail = np.float_power(big_t, 1.0 - order) / (order - 1.0) + 0.5 * np.float_power(big_t, -order)

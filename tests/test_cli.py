@@ -135,7 +135,7 @@ def test_tf_output_does_not_depend_on_blas_threads():
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
         outputs.append([
             run_cli(*argv, "--json", env=env).stdout
-            for argv in (["tf"], ["compare", "--nist", SAMPLE])
+            for argv in (["tf"], ["tf", "--tol", "1e-10"], ["compare", "--nist", SAMPLE])
         ])
     assert all(outputs[0])
     assert outputs[0] == outputs[1]
@@ -145,6 +145,29 @@ def test_tf_rejects_out_of_range_tol():
     res = run_cli("tf", "--tol", "1e-3")
     assert res.returncode != 0
     assert "tol" in res.stderr
+
+
+@pytest.mark.parametrize("tol", ["1e-11", "0.05"])
+@pytest.mark.parametrize("command", [["energy", "--Z", "80"], ["compare", "--nist", SAMPLE]])
+def test_tol_error_names_the_shift_range(command, tol, monkeypatch, capsys):
+    # --tol goes to shift, so both ends name shift's range, checked before the
+    # TF solve clamps tol into its own narrower one
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the TF atom was solved for an invalid tol")
+
+    monkeypatch.setattr("relscott.cli.solve_tf", no_solve)
+    assert main([*command, "--tol", tol]) == 1
+    assert capsys.readouterr().err == f"error: tol must lie in [1e-10, 0.01], got {float(tol)}\n"
+
+
+def test_energy_gamma_error_hints_only_when_gamma_was_derived(capsys):
+    for gamma in ("nan", "1.5"):
+        assert main(["energy", "--Z", "80", "--gamma", gamma]) == 1
+        assert capsys.readouterr().err == f"error: coupling gamma = {float(gamma)} outside [0, 1)\n"
+    assert main(["energy", "--Z", "200"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: coupling gamma = 1.459")
+    assert err.endswith(" outside [0, 1); pass --gamma explicitly\n")
 
 
 def test_tf_profile_file(tmp_path):

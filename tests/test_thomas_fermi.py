@@ -24,6 +24,7 @@ from relscott.thomas_fermi import (
     _ball_charge,
     _ball_potential,
     _ball_rows,
+    _eliminate,
 )
 
 from _oracles import (
@@ -43,7 +44,8 @@ def test_energy_value(tf_solution):
 def test_initial_slope(tf_solution):
     assert tf_solution.initial_slope == pytest.approx(-1.5881, abs=1e-3)
     # with phi's x^3/3 term in the head phi' below x0, and o(x_end) = -phi'(x_end)
-    # of the decay law, phi'(0) = -o(0) lands within about 4e-14 of Baker's value
+    # of the decay law, phi'(0) = -o(0) lands within about 2e-14 of Baker's value
+    # (the solve's rounding moves it within [-2.3e-14, 9.0e-14] as the start varies)
     assert abs(tf_solution.initial_slope - BAKER_SLOPE) <= 1e-13
 
 
@@ -65,6 +67,28 @@ def test_chebyshev_solver_matches_the_bvp_oracle():
 @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8, 1e-10])
 def test_tol_bounds_the_slope_error(tol):
     assert abs(solve_tf(tol).initial_slope - BAKER_SLOPE) <= tol
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 31, 33])
+def test_eliminate_matches_numpy_solve(n):
+    # one stack of systems that need different row swaps: a zero leading
+    # pivot, a diagonally dominant matrix (no swap), the same with its rows
+    # reversed (swaps throughout) and a random one; numpy.linalg.solve is
+    # only the oracle here
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((4, n, n))
+    a[1] += 4.0 * n * np.eye(n)
+    a[2] = a[1, ::-1]
+    if n > 1:
+        a[0, 0, 0] = 0.0
+    b = rng.standard_normal((4, n, 3))
+    given = a.copy(), b.copy()
+    x = _eliminate(a, b)
+    assert x.shape == b.shape
+    assert np.array_equal(a, given[0]) and np.array_equal(b, given[1])
+    for system in range(4):
+        expected = np.linalg.solve(a[system], b[system])
+        assert np.max(np.abs(x[system] - expected)) <= 1e-12 * np.max(np.abs(expected)), system
 
 
 def test_profile_shape(tf_solution):
