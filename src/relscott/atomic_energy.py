@@ -150,9 +150,9 @@ def comparison_table(
     ref_by_z = {rec.Z: rec.e_total for rec in (reference or [])}
     rows: list[ComparisonRow] = []
     for rec in sorted(records, key=lambda r: r.Z):
+        e_tf = tf_energy(rec.Z, tf)  # first: it names a Z that overflows a float
         gamma = constants.alpha * rec.Z
         z2 = float(rec.Z) ** 2
-        e_tf = tf_energy(float(rec.Z), tf)
         empirical_q = (rec.e_total - e_tf) / z2
         flagged = gamma >= 1.0
         model_q = None if flagged else 0.5 + shift(gamma, tol).value

@@ -17,9 +17,9 @@ Evaluation strategy (all pieces deterministic):
   * the channels l >= L in closed form: the fine-structure model, its pairs
     telescoped into three Hurwitz zeta values at L + 1, plus
     -(gamma^4/4) (l + 1/2)^-4 per l, the leading part of what the model
-    misses; the proven bound
-    C(gamma) (l + 1/2)^-6 on the rest (see _l_tail_bound_coefficient) sets L
-    directly;
+    misses; the proven bound C(gamma) (l + 1/2)^-6 on the rest (see
+    _l_tail_bound_coefficient) sets L directly.  The value and the bound take
+    their five zeta values from one array pass;
   * totals by math.fsum, correctly rounded: no order or block size changes a bit.
 
 tail_estimate adds the series remainder bound, the l-remainder bound and a
@@ -56,6 +56,8 @@ _L_MIN = 8
 _N_SERIES = 32
 # |f| <= _F_MAX on |u| = 1/4 (see _taylor_coefficients), so |c_k| <= _F_MAX 4^k
 _F_MAX = 0.12
+# the l-tail's zeta(s, L + offset): zeta(2..4, L + 1), zeta(4, 6; L + 1/2)
+_L_TAIL_ORDERS, _L_TAIL_OFFSETS = (2.0, 3.0, 4.0, 4.0, 6.0), (1.0, 1.0, 1.0, 0.5, 0.5)
 
 # values per array of the blocked level sums: rows = channels, so n levels
 # give max(1, _BLOCK_ELEMENTS // n) channels a block
@@ -189,10 +191,12 @@ def direct_channel_sum(gamma: float, l_cut: int, n_cut: int) -> float:
     return math.fsum(sums.tolist())
 
 
-def _l_tail_closed_form(gamma: float, l_count: int) -> float:
+def _l_tail(gamma: float, l_count: int) -> tuple[float, float]:
     """Value of the channels l >= l_count, all n: the fine-structure model
     plus -(gamma^4/4) zeta(4, l_count + 1/2), the leading part of what the
-    model misses (see _l_tail_bound_coefficient).
+    model misses; and its error bound C(gamma) zeta(6, l_count + 1/2) (see
+    _l_tail_bound_coefficient).  One array call gives all five zeta values,
+    each with its scalar call's bits.
 
     The complete-n channel pair at l >= 1 is
     sum_j (2j+1) sum_n fs(N)/gamma^4 = -2 zeta(3, l+1) + (3/4)(2l+1) zeta(4, l+1),
@@ -201,13 +205,11 @@ def _l_tail_closed_form(gamma: float, l_count: int) -> float:
         sum_{l>=L} (2l+1) zeta(s, l+1) = zeta(s-2, L+1) - L^2 zeta(s, L+1).
     The three terms that result cancel only about 5x (-1.25/L, +1/L, -0.25/L).
     """
-    g2, a = gamma * gamma, l_count + 1.0
-    fine_structure = (
-        -1.25 * hurwitz_zeta(2.0, a)
-        + 2.0 * l_count * hurwitz_zeta(3.0, a)
-        - 0.75 * l_count * l_count * hurwitz_zeta(4.0, a)
-    )
-    return g2 * fine_structure - 0.25 * g2 * g2 * hurwitz_zeta(4.0, l_count + 0.5)
+    g2, a = gamma * gamma, np.add(l_count, _L_TAIL_OFFSETS)
+    z2, z3, z4, z4_mid, z6_mid = hurwitz_zeta(_L_TAIL_ORDERS, a).tolist()
+    fine_structure = -1.25 * z2 + 2.0 * l_count * z3 - 0.75 * l_count * l_count * z4
+    value = g2 * fine_structure - 0.25 * g2 * g2 * z4_mid
+    return value, _l_tail_bound_coefficient(gamma) * z6_mid
 
 
 def _l_tail_bound_coefficient(gamma: float) -> float:
@@ -265,8 +267,7 @@ def shift(g: Coupling | float, tol: float | None = None) -> ShiftResult:
     # the l >= L error is at most C zeta(6, L + 1/2) <= C L^-5/5 <= 0.4 tol
     c = _l_tail_bound_coefficient(gamma)
     l_count = max(_L_MIN, math.ceil((c / (2.0 * tol)) ** 0.2))
-    l_res = c * hurwitz_zeta(6.0, l_count + 0.5)
-    l_tail = _l_tail_closed_form(gamma, l_count)
+    l_tail, l_res = _l_tail(gamma, l_count)
 
     l, kb = _channel_arrays(l_count)
     order, series_res = _series_order(kb, l + _N_SERIES, 0.9 * tol - l_res)

@@ -189,7 +189,8 @@ def _lobatto(n: int):
     m = np.arange(2, n + 1)
     anti[m + 1, m] = 0.5 / (m + 1)
     anti[m - 1, m] -= 0.5 / (m - 1)
-    integ = np.einsum("ik,kl,lj->ij", cheb - (-1.0) ** k, anti, to_coeff)
+    # chained: one three-operand einsum would run as a single O(n^4) loop
+    integ = np.einsum("il,lj->ij", np.einsum("ik,kl->il", cheb - (-1.0) ** k, anti), to_coeff)
     return nodes, weights, diff, integ
 
 
@@ -540,9 +541,12 @@ def tf_functional_at_scale(sol: TfSolution, amplitude: float) -> float:
 
 
 def tf_energy(Z: float, sol: TfSolution) -> EnergyHa:
-    """E_TF(Z) = E_TF(1) * Z^{7/3} (Hartree)."""
+    """E_TF(Z) = E_TF(1) * Z^{7/3} (Hartree); ValueError where it overflows a float."""
     _require_positive(Z=Z)
-    return sol.e_tf_1 * Z ** (7.0 / 3.0)
+    try:
+        return sol.e_tf_1 * float(Z) ** (7.0 / 3.0)
+    except OverflowError:
+        raise ValueError(f"E_TF(Z) overflows a float at Z = {Z}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -122,18 +122,25 @@ def test_array_hurwitz_equals_scalar_calls(s):
     s=st.floats(1.05, 40.0),
     offsets=st.lists(st.floats(0.0, 200.0), max_size=12),
     head=st.booleans(),
+    orders=st.lists(st.floats(1.05, 40.0), min_size=1, max_size=6),
 )
-def test_array_hurwitz_elements_equal_scalar_calls(s, offsets, head):
+def test_array_hurwitz_elements_equal_scalar_calls(s, offsets, head, orders):
     # without head every a >= max(12, s), so the call forms no head sum; with
     # head the array mixes a below max(12, s) (for s > 12 also 12 <= a < s),
     # a = max(12, s) exactly and a above it
-    edge = max(12.0, s)
-    if head:
-        a = [0.1 + x for x in offsets] + [0.75 * edge, np.nextafter(edge, 0.0), edge]
-    else:
-        a = [edge + x for x in offsets] + [edge]
+    def around(edge, extra):
+        if head:
+            return [0.1 + x for x in extra] + [0.75 * edge, np.nextafter(edge, 0.0), edge]
+        return [edge + x for x in extra] + [edge]
+
+    a = around(max(12.0, s), offsets)
     got = hurwitz_zeta(s, np.array(a))
     assert got.tolist() == [hurwitz_zeta(s, x) for x in a]
+    # an array of orders paired elementwise with a, as the l-tail's one call
+    # takes them: each order's a lie around its own max(12, s) as above
+    pairs = [(order, x) for order in orders for x in around(max(12.0, order), offsets[:2])]
+    got = hurwitz_zeta(np.array([o for o, _ in pairs]), np.array([x for _, x in pairs]))
+    assert got.tolist() == [hurwitz_zeta(o, x) for o, x in pairs]
 
 
 def test_array_hurwitz_keeps_shape():

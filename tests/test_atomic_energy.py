@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -95,6 +96,19 @@ def test_predict_energy_heavy(tf_solution):
     got = predict_energy(z, gamma, tf_solution, 1e-8)
     assert math.isfinite(got)
     assert got < tf_energy(z, tf_solution) + 0.5 * z * z
+
+
+@pytest.mark.parametrize("z", [1e200, 10**200, 10**400])
+def test_overflowing_e_tf_names_z(z, tf_solution):
+    message = "^" + re.escape(f"E_TF(Z) overflows a float at Z = {z}") + "$"
+    with pytest.raises(ValueError, match=message):
+        tf_energy(z, tf_solution)
+    with pytest.raises(ValueError, match=message):
+        predict_energy(z, 0.5, tf_solution)
+    if isinstance(z, int):  # before alpha Z or Z^2 can overflow
+        with pytest.raises(ValueError, match=message):
+            comparison_table([NistRecord(z, -1.0)], None, PhysicalConstants(), tf_solution)
+    assert math.isfinite(tf_energy(1e132, tf_solution))
 
 
 def test_comparison_single_hydrogen(tf_solution):

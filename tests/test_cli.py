@@ -352,3 +352,21 @@ def test_energy_rejects_z_before_solving(z, gamma, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: Z must be a positive finite number, got {float(z)}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, z",
+    [("energy", 1e200), ("compare", 10**200), ("compare", 10**400)],
+)
+def test_overflowing_e_tf_is_one_error_line(command, z, tmp_path):
+    # 10**400 does not even convert to a float
+    if command == "energy":
+        argv = ["energy", "--Z", str(z), "--gamma", "0.5"]
+    else:
+        table = tmp_path / "table.csv"
+        table.write_text(f"Z,E_total_Ha\n1,-0.5\n{z},-1.0\n")
+        argv = ["compare", "--nist", str(table)]
+    res = run_cli(*argv)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == f"error: E_TF(Z) overflows a float at Z = {z}\n"

@@ -386,13 +386,30 @@ def _mp_l_tail(gamma, l_count):
     return g2 * pairs - g2**2 / 4 * mpmath.zeta(4, big_l + 0.5)
 
 
+# at 11, L + 1/2 needs a zeta head sum and L + 1 does not; from 12 neither does
 @pytest.mark.parametrize("gamma", [0.3, 0.9, 1.0 - 1e-9])
-@pytest.mark.parametrize("l_count", [8, 9, 17, 33, 81])
+@pytest.mark.parametrize("l_count", [8, 9, 11, 12, 17, 33, 81])
 def test_l_tail_closed_form_matches_mpmath(gamma, l_count):
     with mpmath.workdps(40):
         ref = _mp_l_tail(gamma, l_count)
-        got = scott_shift._l_tail_closed_form(gamma, l_count)
+        got, bound = scott_shift._l_tail(gamma, l_count)
         assert abs((got - ref) / ref) <= 2e-15
+    c = scott_shift._l_tail_bound_coefficient(gamma)
+    assert bound == c * scott_shift.hurwitz_zeta(6.0, l_count + 0.5)
+
+
+@pytest.mark.parametrize("gamma, tol", [(0.2, 1e-8), (0.5, 1e-8), (0.9, 1e-10), (1.0 - 1e-9, 1e-2)])
+def test_shift_makes_two_zeta_calls(gamma, tol, monkeypatch):
+    # one for the l-tail and its bound, one for the n-series table
+    calls, zeta = [], scott_shift.hurwitz_zeta
+
+    def counted(s, a):
+        calls.append((np.shape(s), np.shape(a)))
+        return zeta(s, a)
+
+    monkeypatch.setattr(scott_shift, "hurwitz_zeta", counted)
+    shift(gamma, tol)
+    assert len(calls) == 2, calls
 
 
 def test_l_tail_reference_matches_the_level_sum():
