@@ -72,7 +72,7 @@ def predict_energy(
     return e_tf + (0.5 + shift(g, tol).value) * Z * Z
 
 
-def _parse_table(text: str, header: str, what: str) -> list[tuple[int, float]]:
+def _parse_table(text: str, header: str) -> list[tuple[int, float]]:
     rows: list[tuple[int, float]] = []
     seen: set[int] = set()
     header_seen = False
@@ -96,13 +96,13 @@ def _parse_table(text: str, header: str, what: str) -> list[tuple[int, float]]:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: malformed row '{line}': {exc}") from None
         if not math.isfinite(value):
-            raise ValueError(f"line {lineno}: non-finite {what} {parts[1]!r}")
+            raise ValueError(f"line {lineno}: non-finite energy {parts[1]!r}")
         if z < 1:
             raise ValueError(f"line {lineno}: Z must be >= 1, got {z}")
         if z in seen:
             raise ValueError(f"line {lineno}: duplicate Z = {z}")
         if value >= 0.0:
-            raise ValueError(f"line {lineno}: {what} must be negative, got {value}")
+            raise ValueError(f"line {lineno}: energy must be negative, got {value}")
         seen.add(z)
         rows.append((z, value))
     if not header_seen:
@@ -117,12 +117,12 @@ def ingest_energy_table(source: str) -> list[NistRecord]:
     Returns records sorted by Z; malformed rows, duplicate Z, and positive
     energies raise ValueError naming the offending line.
     """
-    return [NistRecord(z, e) for z, e in _parse_table(source, ENERGY_TABLE_HEADER, "energy")]
+    return [NistRecord(z, e) for z, e in _parse_table(source, ENERGY_TABLE_HEADER)]
 
 
 def ingest_reference_table(source: str) -> list[NistRecord]:
     """Parse a reference table (header Z,E_ref_Ha), same validation rules."""
-    return [NistRecord(z, e) for z, e in _parse_table(source, REFERENCE_TABLE_HEADER, "energy")]
+    return [NistRecord(z, e) for z, e in _parse_table(source, REFERENCE_TABLE_HEADER)]
 
 
 def emit_energy_table(records: list[NistRecord]) -> str:

@@ -21,7 +21,7 @@ from .atomic_energy import (
     ingest_reference_table,
 )
 from .scott_shift import TOL_MAX, TOL_MIN, schwinger_shift, shift
-from .thomas_fermi import solve_tf, tf_energy
+from .thomas_fermi import TOL_MAX as TF_TOL_MAX, solve_tf, tf_energy
 
 COMPARISON_COLUMNS = ("Z", "gamma", "empirical_q", "model_q", "schwinger_q", "reference_q")
 
@@ -94,7 +94,7 @@ def _solve_tf_for_shift_tol(tol: float):
     lie in shift's range, and the solve takes it clamped into solve_tf's."""
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
-    return solve_tf(min(tol, 1e-4))
+    return solve_tf(min(tol, TF_TOL_MAX))
 
 
 def _cmd_shift(args: argparse.Namespace) -> int:

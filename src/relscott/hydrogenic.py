@@ -8,11 +8,12 @@ N = n + l the principal quantum number and kb = j + 1/2:
     lambda_S = -gamma^2 / (2 N^2),
 
 where delta equals kb - sqrt(kb^2 - gamma^2) exactly but is evaluated in the
-rationalized form above.  Every difference of nearly equal quantities is
-rearranged the same way: sqrt(1-x) - 1 is evaluated as -x/(1 + sqrt(1-x)),
-and lambda_D - lambda_S as a single combined rational expression, so the
-returned values stay accurate to ~1e-15 relative even at N ~ 1e4 where the
-naive subtractions lose all significance.
+rationalized form above, in _delta alone (scott_shift's Taylor coefficients
+call it too).  lambda_D - lambda_S is evaluated as a single combined rational
+expression with no subtraction of nearly equal quantities, and lambda_D
+itself as lambda_S + (lambda_D - lambda_S), so the returned values stay
+accurate to ~1e-15 relative even at N ~ 1e4 where the naive subtractions lose
+all significance.
 """
 
 from __future__ import annotations
@@ -67,18 +68,16 @@ def _gamma_of(g: Coupling | float, *, closed_top: bool = False) -> float:
 # vectorized kernels (principal N may be an array); used by the channel sums
 # ---------------------------------------------------------------------------
 
+def _delta(gamma: float, kappa_bar):
+    """kb - sqrt(kb^2 - gamma^2), rationalized: O(gamma^2) with no cancellation."""
+    return gamma * gamma / (kappa_bar + np.sqrt((kappa_bar - gamma) * (kappa_bar + gamma)))
+
+
 def dirac_lambda_kernel(gamma: float, principal, kappa_bar: float):
-    """lambda_D over an array of principal numbers N at fixed channel kb
-    (1 - x formed as in difference_over_gamma2_kernel)."""
+    """lambda_D = lambda_S + (lambda_D - lambda_S) over an array of principal
+    numbers N at fixed channel kb; the difference is difference_kernel's."""
     n_pr = np.asarray(principal, dtype=float)
-    g2 = gamma * gamma
-    s = math.sqrt((kappa_bar - gamma) * (kappa_bar + gamma))
-    delta = g2 / (kappa_bar + s)
-    fs_shift = 2.0 * (n_pr - kappa_bar) * delta  # Delta = N^2 - fs_shift
-    big = n_pr * n_pr - fs_shift
-    x = g2 / big
-    one_minus_x = ((n_pr - gamma) * (n_pr + gamma) - fs_shift) / big
-    return -x / (1.0 + np.sqrt(one_minus_x))
+    return difference_kernel(gamma, n_pr, kappa_bar) - gamma * gamma / (2.0 * n_pr * n_pr)
 
 
 def difference_over_gamma2_kernel(gamma: float, principal, kappa_bar: float):
@@ -98,8 +97,7 @@ def difference_over_gamma2_kernel(gamma: float, principal, kappa_bar: float):
     """
     n_pr = np.asarray(principal, dtype=float)
     g2 = gamma * gamma
-    s = np.sqrt((kappa_bar - gamma) * (kappa_bar + gamma))
-    delta = g2 / (kappa_bar + s)
+    delta = _delta(gamma, kappa_bar)
     n2 = n_pr * n_pr
     fs_shift = 2.0 * (n_pr - kappa_bar) * delta  # Delta = N^2 - fs_shift
     big = n2 - fs_shift

@@ -37,6 +37,7 @@ import numpy as np
 
 from .hydrogenic import (
     Coupling,
+    _delta,
     _gamma_of,
     difference_over_gamma2_kernel,
     fine_structure_kernel,
@@ -62,6 +63,8 @@ _L_TAIL_ORDERS, _L_TAIL_OFFSETS = (2.0, 3.0, 4.0, 4.0, 6.0), (1.0, 1.0, 1.0, 0.5
 # values per array of the blocked level sums: rows = channels, so n levels
 # give max(1, _BLOCK_ELEMENTS // n) channels a block
 _BLOCK_ELEMENTS = 1 << 13
+# zeta_double_sum_identity_check sums the diagonals M <= _IDENTITY_M_CAP
+_IDENTITY_M_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,7 @@ def _taylor_coefficients(gamma: float, kb: np.ndarray, order: int) -> np.ndarray
     Row k of the table h holds h_k; each convolution is one einsum, ascending i.
     """
     g2 = gamma * gamma
-    delta = g2 / (kb + np.sqrt((kb - gamma) * (kb + gamma)))
+    delta = _delta(gamma, kb)
     two_delta, two_kb_delta = 2.0 * delta, 2.0 * kb * delta
     inv_d = [np.ones_like(kb), two_delta]
     for _ in range(2, order - 1):
@@ -316,23 +319,21 @@ def schwinger_shift_bruteforce(g: Coupling | float, l_max: int, n_max: int) -> f
     return math.fsum(sums.tolist())
 
 
-def zeta_double_sum_identity_check(s: float, m_cap: int = 10_000) -> ZetaIdentityCheck:
+def zeta_double_sum_identity_check(s: float) -> ZetaIdentityCheck:
     """Check sum_{m,n>=1} (m+n)^-s = zeta(s-1) - zeta(s) by truncated summation.
 
     The double sum collapses along diagonals to sum_{M>=2} (M-1) M^-s; it is
-    truncated at M <= m_cap with the integral tail bound m_cap^(2-s)/(s-2)
-    (hence the s > 2 requirement).  Returns (double_sum, tail_bound,
-    zeta_difference); the first and last agree within tail_bound.
+    truncated at M <= _IDENTITY_M_CAP = 10,000 with the integral tail bound
+    10,000^(2-s)/(s-2) (hence the s > 2 requirement).  Returns (double_sum,
+    tail_bound, zeta_difference); the first and last agree within tail_bound.
     """
     s = float(s)
     if not s > 2.0:
         raise ValueError(f"identity check requires s > 2, got {s}")
-    if m_cap < 2:
-        raise ValueError(f"m_cap must be >= 2, got {m_cap}")
-    m = np.arange(2, m_cap + 1, dtype=float)
+    m = np.arange(2, _IDENTITY_M_CAP + 1, dtype=float)
     with np.errstate(under="ignore"):
         terms = (m - 1.0) * m ** (-s)
     double_sum = math.fsum(terms.tolist())
-    tail_bound = m_cap ** (2.0 - s) / (s - 2.0)
+    tail_bound = _IDENTITY_M_CAP ** (2.0 - s) / (s - 2.0)
     closed = riemann_zeta(s - 1.0) - riemann_zeta(s)
     return ZetaIdentityCheck(double_sum, tail_bound, closed)

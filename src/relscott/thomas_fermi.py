@@ -112,12 +112,10 @@ def _elementwise(values, requirement: str, f):
 
 
 def _series_phi(x, slope: float):
-    x = np.asarray(x, dtype=float)
     return 1.0 + slope * x + (4.0 / 3.0) * x**1.5 + 0.4 * slope * x**2.5
 
 
 def _series_dphi(x, slope: float):
-    x = np.asarray(x, dtype=float)
     return slope + 2.0 * np.sqrt(x) + slope * x**1.5 + x * x
 
 
@@ -137,13 +135,11 @@ def _decay_factor(tau):
 
 
 def _asymptote_phi(x, coeff: float):
-    x = np.asarray(x, dtype=float)
     u = _decay_factor(coeff * x ** (-DECAY_SIGMA))[0]
     return 144.0 / x**3 * u
 
 
 def _asymptote_dphi(x, coeff: float):
-    x = np.asarray(x, dtype=float)
     u, du = _decay_factor(coeff * x ** (-DECAY_SIGMA))[:2]
     return 144.0 / x**4 * (-3.0 * u + du)
 
@@ -569,7 +565,7 @@ class RadialDensity:
     def __call__(self, r) -> np.ndarray:
         def rho(r):
             w = self.Z ** (1.0 / 3.0) * r
-            phi = np.maximum(self._sol._columns(w / TF_LENGTH_B)[:, _PHI], 0.0)
+            phi = self._sol._columns(w / TF_LENGTH_B)[:, _PHI]
             return self.Z**2 * ((2.0 * phi / w) ** 1.5 / (3.0 * math.pi**2))
 
         return _elementwise(r, "density requires finite r > 0", rho)

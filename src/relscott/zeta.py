@@ -42,9 +42,8 @@ def hurwitz_zeta(s: float | np.ndarray, a: float | np.ndarray) -> float | np.nda
     """
     order, arg = np.asarray(s, dtype=float), np.asarray(a, dtype=float)
     for name, given, values, low in (("s", s, order, 1), ("a", a, arg, 0)):
-        bad = ~(values > low)
-        if bad.any():
-            culprit = given if values.ndim == 0 else values[bad][0]
+        if not (values > low).all():
+            culprit = given if values.ndim == 0 else values[~(values > low)][0]
             raise ValueError(f"hurwitz_zeta requires {name} > {low}, got {name}={culprit}")
 
     # head: the m terms that lift a to T = a + m >= max(12, s), ascending term

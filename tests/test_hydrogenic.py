@@ -204,13 +204,22 @@ def test_ground_state_difference_near_gamma_one():
 
 
 def test_dirac_ground_state_near_gamma_one():
-    # the same rearrangement in lambda_D itself; the oracle gets the binary
-    # gamma (a 50-digit mpf), not its shortest decimal 0.99999999, which
-    # moves lambda_D by 3.5e-13 at this slope
-    gamma = 1.0 - 1e-8
-    want = float(dirac_lambda_mp(mpmath.mpf(gamma), 1, 0, 0.5))
-    got = dirac_level(gamma, lvl(1, 0, 0.5))
-    assert abs(got - want) <= 4 * np.finfo(float).eps * abs(want)
+    # lambda_D = lambda_S + (lambda_D - lambda_S) within 1.25 eps on a grid
+    # that runs from gamma = 1e-8 to the ground state at gamma = 1 - 1e-12 and
+    # out to N = 6000; the oracle gets the binary gamma (a 50-digit mpf), not
+    # its shortest decimal, which moves lambda_D by 3.5e-13 near gamma = 1
+    gammas = (1e-8, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.9999, 1 - 1e-9, 1 - 1e-12)
+    radial = np.array([0, 1, 2, 7, 30, 300, 5000])  # N - kb
+    bound = 1.25 * np.finfo(float).eps
+    for gamma in gammas:
+        for kb in (1, 2, 3, 8, 40, 1000):
+            l, n = kb - 1, radial + 1
+            kernel = dirac_lambda_kernel(gamma, n + l, float(kb))
+            for nn, from_kernel in zip(n.tolist(), kernel.tolist()):
+                with mpmath.workdps(50):
+                    want = dirac_lambda_mp(mpmath.mpf(gamma), nn, l, l + 0.5)
+                    for got in (dirac_level(gamma, lvl(nn, l, l + 0.5)), from_kernel):
+                        assert abs((got - want) / want) <= bound, (gamma, nn + l, kb)
 
 
 def test_coulomb_expectation_against_50_digit_oracle():
