@@ -16,10 +16,10 @@ Evaluation strategy (all pieces deterministic):
     channels, whose a = l + _N_SERIES >= 32 need no zeta head sum;
   * the channels l >= L in closed form: the fine-structure model, its pairs
     telescoped into three Hurwitz zeta values at L + 1, plus
-    -(gamma^4/4) (l + 1/2)^-4 per l, the leading part of what the model
-    misses; the proven bound C(gamma) (l + 1/2)^-6 on the rest (see
-    _l_tail_bound_coefficient) sets L directly.  The value and the bound take
-    their five zeta values from one array pass;
+    -(gamma^4/4) m^-4 - (5/32) gamma^4 (2 + gamma^2) m^-6 per l, m = l + 1/2,
+    the leading part of what the model misses; the proven bound C8(gamma) m^-8
+    on the rest (see _l_tail_bound_coefficient) sets L directly.  The value
+    and the bound take their six zeta values from one array pass;
   * totals by math.fsum, correctly rounded: no order or block size changes a bit.
 
 tail_estimate adds the series remainder bound, the l-remainder bound and a
@@ -57,8 +57,8 @@ _L_MIN = 8
 _N_SERIES = 32
 # |f| <= _F_MAX on |u| = 1/4 (see _taylor_coefficients), so |c_k| <= _F_MAX 4^k
 _F_MAX = 0.12
-# the l-tail's zeta(s, L + offset): zeta(2..4, L + 1), zeta(4, 6; L + 1/2)
-_L_TAIL_ORDERS, _L_TAIL_OFFSETS = (2.0, 3.0, 4.0, 4.0, 6.0), (1.0, 1.0, 1.0, 0.5, 0.5)
+# the l-tail's zeta(s, L + offset): zeta(2..4, L + 1), zeta(4, 6, 8; L + 1/2)
+_L_TAIL_ORDERS, _L_TAIL_OFFSETS = (2.0, 3.0, 4.0, 4.0, 6.0, 8.0), (1.0, 1.0, 1.0, 0.5, 0.5, 0.5)
 
 # values per array of the blocked level sums: rows = channels, so n levels
 # give max(1, _BLOCK_ELEMENTS // n) channels a block
@@ -195,32 +195,33 @@ def direct_channel_sum(gamma: float, l_cut: int, n_cut: int) -> float:
 
 
 def _l_tail(gamma: float, l_count: int) -> tuple[float, float]:
-    """Value of the channels l >= l_count, all n: the fine-structure model
-    plus -(gamma^4/4) zeta(4, l_count + 1/2), the leading part of what the
-    model misses; and its error bound C(gamma) zeta(6, l_count + 1/2) (see
-    _l_tail_bound_coefficient).  One array call gives all five zeta values,
-    each with its scalar call's bits.
+    """Value of the channels l >= L = l_count, all n: the fine-structure
+    model plus -(gamma^4/4) zeta(4, L + 1/2) - (5/32) gamma^4 (2 + gamma^2)
+    zeta(6, L + 1/2), the leading part of what the model misses; and its
+    bound C8(gamma) zeta(8, L + 1/2) (see _l_tail_bound_coefficient).  One
+    array call gives all six zeta values, each with its scalar call's bits.
 
     The complete-n channel pair at l >= 1 is
     sum_j (2j+1) sum_n fs(N)/gamma^4 = -2 zeta(3, l+1) + (3/4)(2l+1) zeta(4, l+1),
-    and with L = l_count the pairs l >= L telescope, summing over n first:
+    and the pairs l >= L telescope, summing over n first:
         sum_{l>=L} zeta(s, l+1) = zeta(s-1, L+1) - L zeta(s, L+1),
         sum_{l>=L} (2l+1) zeta(s, l+1) = zeta(s-2, L+1) - L^2 zeta(s, L+1).
     The three terms that result cancel only about 5x (-1.25/L, +1/L, -0.25/L).
     """
     g2, a = gamma * gamma, np.add(l_count, _L_TAIL_OFFSETS)
-    z2, z3, z4, z4_mid, z6_mid = hurwitz_zeta(_L_TAIL_ORDERS, a).tolist()
+    z2, z3, z4, z4_mid, z6_mid, z8_mid = hurwitz_zeta(_L_TAIL_ORDERS, a).tolist()
     fine_structure = -1.25 * z2 + 2.0 * l_count * z3 - 0.75 * l_count * l_count * z4
-    value = g2 * fine_structure - 0.25 * g2 * g2 * z4_mid
-    return value, _l_tail_bound_coefficient(gamma) * z6_mid
+    missed = 0.25 * z4_mid + 0.15625 * (2.0 + g2) * z6_mid
+    return g2 * fine_structure - g2 * g2 * missed, _l_tail_bound_coefficient(gamma) * z8_mid
 
 
 def _l_tail_bound_coefficient(gamma: float) -> float:
-    """C(gamma) = (gamma^4 + gamma^6)/3: |R(l) + (gamma^4/4) m^-4| <= C m^-6
-    for l >= 8, m = l + 1/2, where R(l) is what the fine-structure model
-    misses of the pair l (both j, all n, in s units).
+    """C8(gamma) = (gamma^4 + 12 gamma^6 + 5 gamma^8)/20: for l >= 8 and
+    m = l + 1/2, |R(l) + (gamma^4/4) m^-4 + (5/32) gamma^4 (2 + gamma^2) m^-6|
+    <= C8 m^-8, where R(l) is what the fine-structure model misses of the
+    pair l (both j, all n, in s units).
 
-    Per level, with w = gamma^2/kb^2 < 1/64 and t = N/kb >= 1,
+    Per level, with w = gamma^2/kb^2 <= 1/64 and t = N/kb >= 1,
         kb^2 (lambda_D - lambda_S)/gamma^2 = phi(w, t)
             = -(t - 1) d/(t^2 E) - w/(2 E^2 (1 + sqrt(1 - y))^2),
         d = 1 - sqrt(1 - w),  E = t^2 - 2 (t - 1) d,  y = w/E.
@@ -230,25 +231,34 @@ def _l_tail_bound_coefficient(gamma: float) -> float:
     the fine-structure term, and with x = 1/t
         phi_2 = -(2 + 6x - 12x^2 + 5x^3) x^3/16,
         phi_3 = -(1 + 3x + x^2 - 15x^3 + 15x^4 - 35x^5/8) x^3/16,
-    the last bracket lying in [0.625, 1.74] on [0, 1].
-    (i) The gamma^4 term kb^-6 phi_2 gamma^4, summed over N > l and the
-    pair with weight 2kb, is gamma^4 P6(l), zk = zeta(k, l + 1),
+        phi_4 = -(10 + 30x + 24x^2 - 80x^3 - 180x^4 + 420x^5 - 280x^6 + 63x^7) x^3/256,
+    the last bracket lying in [7, 19.41] on [0, 1].  Level N of channel kb
+    weighs 2 phi/kb, so phi_j gives the pair gamma^(2j) times a sum of
+    zk = zeta(k, l + 1) times powers of l and l + 1.  The midpoint
+    Euler-Maclaurin brackets of the completely monotone x^-k,
+        zk = m^(1-k)/(k-1) - k m^(-1-k)/24 + 7k(k+1)(k+2) m^(-3-k)/5760
+             - theta_k 31k(k+1)(k+2)(k+3)(k+4) m^(-5-k)/967680
+    with 0 <= theta_k <= 1, bound these sums; each piece times m^8 is largest
+    at m = 8.5, where the bounds below are taken.
+    (i) phi_2's pair is gamma^4 P6(l),
         P6 = -(1/8) [2 z3 (l^-2 + (l+1)^-2) + 6 z4 (l^-1 + (l+1)^-1)
-                     - 24 z5 + 10 m z6].
-    The midpoint Euler-Maclaurin brackets of the completely monotone x^-k,
-        zk = m^(1-k)/(k-1) - k m^(-1-k)/24 + theta_k 7k(k+1)(k+2) m^(-3-k)/5760
-    with 0 <= theta_k <= 1, make P6 = -m^-4/4 - (5/16) m^-6 + eps exactly,
-    eps being the theta terms, |eps| <= 0.767 m^-8; at m >= 8.5 that gives
-    |P6 + m^-4/4| <= 0.324 m^-6.
-    (ii) The rest, sum_{j>=3} phi_j w^j, is at most
-    |phi_3| w^3 + w^4 |phi(1, t)| <= (1.74/16 + 2/64) t^-3 w^3 <= 0.14 t^-3 w^3,
-    or 0.14 gamma^6 kb^-5 N^-3 per level.  With sum_{N>l} N^-3 <= m^-2/2
-    (convexity) and l^-4 + (l+1)^-4 <= 2.07 m^-4, the pair gets at most
-    0.29 gamma^6 m^-6.  So C = 0.324 gamma^4 + 0.29 gamma^6 would do, and
-    (gamma^4 + gamma^6)/3 is larger.
+                     - 24 z5 + 10 m z6]
+           = -m^-4/4 - (5/16) m^-6 - 7(36m^2 - 7)/(192 m^8 (4m^2 - 1)^2) + eps
+    exactly, eps being the theta terms, |eps| <= 0.042 m^-8; so
+    |P6 + m^-4/4 + (5/16) m^-6| <= 0.044 m^-8.
+    (ii) phi_3's pair is gamma^6 P8(l),
+        P8 = -(1/8) [z3 (l^-4 + (l+1)^-4) + 3 z4 (l^-3 + (l+1)^-3)
+                     + z5 (l^-2 + (l+1)^-2) - 15 z6 (l^-1 + (l+1)^-1)
+                     + 30 z7 - (35/4) m z8],
+    and the brackets give |P8 + (5/32) m^-6| <= 0.556 m^-8 (-35/64 as m -> oo).
+    (iii) The rest, sum_{j>=4} phi_j w^j, is at most
+    (19.41/256 + 2w) w^4 t^-3 <= (0.076 + gamma^2/32) w^4 t^-3 per level.
+    With sum_{N>l} N^-3 <= m^-2/2 (convexity) and l^-6 + (l+1)^-6 <= 2.15 m^-6,
+    the pair gets at most (0.164 + 0.068 gamma^2) gamma^8 m^-8.
+    So 0.044 gamma^4 + 0.556 gamma^6 + 0.232 gamma^8 would do, and C8 is larger.
     """
     g2 = gamma * gamma
-    return g2 * g2 * (1.0 + g2) / 3.0
+    return g2 * g2 * (1.0 + g2 * (12.0 + 5.0 * g2)) / 20.0
 
 
 def shift(g: Coupling | float, tol: float | None = None) -> ShiftResult:
@@ -267,9 +277,9 @@ def shift(g: Coupling | float, tol: float | None = None) -> ShiftResult:
     if gamma == 0.0:
         return ShiftResult(coupling, 0.0, 0.0, 0, 0, tol, 0, 0.0, 0.0, 0.0)
 
-    # the l >= L error is at most C zeta(6, L + 1/2) <= C L^-5/5 <= 0.4 tol
-    c = _l_tail_bound_coefficient(gamma)
-    l_count = max(_L_MIN, math.ceil((c / (2.0 * tol)) ** 0.2))
+    # the l >= L error is at most C8 zeta(8, L + 1/2) <= C8 L^-7/7 <= 0.4 tol
+    c8 = _l_tail_bound_coefficient(gamma)
+    l_count = max(_L_MIN, math.ceil((c8 / (2.8 * tol)) ** (1.0 / 7.0)))
     l_tail, l_res = _l_tail(gamma, l_count)
 
     l, kb = _channel_arrays(l_count)

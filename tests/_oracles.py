@@ -3,11 +3,13 @@
 Test-suite-only: extended-precision (mpmath, 50 digits) re-derivations of
 the closed forms straight from their defining expressions, with none of the
 package's floating-point rearrangements, used to freeze expected values and
-to bound rounding error; a Thomas-Fermi shooting classifier that checks
-the collocation solver's initial slope by a different method; the
-earlier scipy solve_bvp Thomas-Fermi solver, kept as a reference for the
-Chebyshev one; and the charge and potential of a ball by adaptive
-quadrature over the profile, a reference for the exchange-hole kernels.
+to bound rounding error; what the fine-structure model misses of an l-pair
+of the spectral shift, at 40 digits, a reference for the l-tail bound; a
+Thomas-Fermi shooting classifier that checks the collocation solver's
+initial slope by a different method; the earlier scipy solve_bvp
+Thomas-Fermi solver, kept as a reference for the Chebyshev one; and the
+charge and potential of a ball by adaptive quadrature over the profile, a
+reference for the exchange-hole kernels.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from __future__ import annotations
 import math
 import warnings
 
+import mpmath
 import numpy as np
-from mpmath import mp, mpf, sqrt
+from mpmath import mpf, sqrt, workdps
 from scipy.integrate import (
     IntegrationWarning,
     cumulative_simpson,
@@ -36,9 +39,8 @@ from relscott.thomas_fermi import (
     _asymptote_phi,
 )
 
-mp.dps = 50
 
-
+@workdps(50)
 def dirac_lambda_mp(gamma, n: int, l: int, j: float):
     """Bound-state eigenvalue from the unrearranged closed form."""
     g = mpf(str(gamma))
@@ -48,15 +50,18 @@ def dirac_lambda_mp(gamma, n: int, l: int, j: float):
     return sqrt(1 - g * g / (x_big * x_big + g * g)) - 1
 
 
+@workdps(50)
 def schroedinger_lambda_mp(gamma, n: int, l: int):
     g = mpf(str(gamma))
     return -g * g / (2 * mpf(n + l) ** 2)
 
 
+@workdps(50)
 def level_difference_mp(gamma, n: int, l: int, j: float):
     return dirac_lambda_mp(gamma, n, l, j) - schroedinger_lambda_mp(gamma, n, l)
 
 
+@workdps(50)
 def coulomb_expectation_mp(gamma, n: int, l: int, j: float):
     """Eigenstate Coulomb expectation from the unrearranged closed form."""
     g = mpf(str(gamma))
@@ -67,6 +72,39 @@ def coulomb_expectation_mp(gamma, n: int, l: int, j: float):
         g * g * (kb * kb + (n_pr - kb) * s)
         / (s * ((s + n_pr - kb) ** 2 + g * g) ** mpf("1.5"))
     )
+
+
+def level_difference_over_gamma2_mp(gamma, kb, u):
+    """(lambda_D - lambda_S)/gamma^2 at u = 1/N, at the caller's precision,
+    written without cancellation: with z = u^2/D and r = sqrt(1 - gamma^2 z),
+    it is -u^2 (4 delta u (1 - kb u)/D + gamma^2 z/(1 + r)) / (2 (1 + r))."""
+    g2 = mpf(gamma) ** 2
+    delta = g2 / (kb + sqrt(kb * kb - g2))
+    d = 1 - 2 * delta * u + 2 * kb * delta * u * u
+    z = u * u / d
+    r = sqrt(1 - g2 * z)
+    return -u * u * (4 * delta * u * (1 - kb * u) / d + g2 * z / (1 + r)) / (2 * (1 + r))
+
+
+@workdps(40)
+def pair_residual_mp(gamma, l: int):
+    """What the fine-structure model misses of the pair l >= 1 (both j, all
+    n), in s units.  Per channel, the levels N = l + 1..l + 40 are summed
+    directly and the rest as sum_{k=3..48} c_k zeta(k, l + 41), c_k the Taylor
+    coefficients in u = 1/N of the missed part (c_0..c_2 vanish); as
+    |c_k| <= 0.12 4^k, the series' rest is below 1e-49."""
+    g2 = mpf(gamma) ** 2
+    total = mpf(0)
+    for kb in (l, l + 1):
+        def miss(u, kb=kb):
+            fine_structure = -g2 * u**3 / 2 * (mpf(1) / kb - 0.75 * u)
+            return level_difference_over_gamma2_mp(gamma, kb, u) - fine_structure
+
+        c = mpmath.taylor(miss, 0, 48)
+        direct = mpmath.fsum(miss(mpf(1) / n) for n in range(l + 1, l + 41))
+        series = mpmath.fsum(c[k] * mpmath.zeta(k, l + 41) for k in range(3, 49))
+        total += 2 * kb * (direct + series)
+    return total
 
 
 def shoot_classify(slope: float) -> int:

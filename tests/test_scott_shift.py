@@ -22,7 +22,7 @@ from relscott.hydrogenic import difference_over_gamma2_kernel
 from relscott.quantum_numbers import kappa_bars
 from relscott.scott_shift import direct_channel_sum
 
-mpmath.mp.dps = 30
+from _oracles import level_difference_over_gamma2_mp, pair_residual_mp
 
 # |s(gamma)/gamma^2 - SCHWINGER_COEFFICIENT| <= K gamma^2 for gamma <= 0.3;
 # K fitted once (observed max 0.297 at gamma=0.3) and frozen.
@@ -30,7 +30,8 @@ SMALL_GAMMA_K = 0.35
 
 
 def test_schwinger_coefficient_value():
-    ref = float(mpmath.zeta(3) - 5 * mpmath.pi**2 / 24)
+    with mpmath.workdps(30):
+        ref = float(mpmath.zeta(3) - 5 * mpmath.pi**2 / 24)
     assert SCHWINGER_COEFFICIENT == pytest.approx(ref, rel=1e-14)
     assert SCHWINGER_COEFFICIENT == pytest.approx(-0.8541106804006887, rel=1e-14)
 
@@ -46,7 +47,8 @@ def test_schwinger_shift_values():
 
 def test_bruteforce_l0_channel():
     # complete l=0 channel sums to -(zeta(3) - (3/4) zeta(4))
-    ref = -(float(mpmath.zeta(3)) - 0.75 * float(mpmath.zeta(4)))
+    with mpmath.workdps(30):
+        ref = float(0.75 * mpmath.zeta(4) - mpmath.zeta(3))
     got = schwinger_shift_bruteforce(1.0, 0, 4000)
     assert got == pytest.approx(ref, abs=1e-7)
 
@@ -77,7 +79,8 @@ def test_bruteforce_cutoff_validation():
 
 def test_zeta_identity_s3():
     chk = zeta_double_sum_identity_check(3.0)
-    ref = float(mpmath.zeta(2) - mpmath.zeta(3))
+    with mpmath.workdps(30):
+        ref = float(mpmath.zeta(2) - mpmath.zeta(3))
     assert chk.zeta_difference == pytest.approx(ref, rel=1e-13)
     assert chk.zeta_difference == pytest.approx(0.442877163689, abs=1e-12)
     assert abs(chk.double_sum - chk.zeta_difference) <= chk.tail_bound
@@ -240,9 +243,9 @@ def test_shift_against_extended_precision_reference():
 
 # value, tail_estimate (repr), l_max and n_max of shift() at the 12-step curve
 # gammas (tol 1e-8), the precise-workload lattice gammas (tol 1e-10) and
-# gamma 0.9999; each lies within the old and new tail estimates of the values
-# that the earlier l-doubling evaluation gave; value and cutoffs must not move
-# by a bit
+# gamma 0.9999.  Value and cutoffs are pinned to the bit: a change that moves
+# them must show that each new value lies within the old plus the new
+# tail_estimate of the pinned one before it rewrites the pin
 SHIFT_PINS = json.loads((Path(__file__).parent / "data" / "shift_pins.json").read_text())
 
 
@@ -270,18 +273,6 @@ GAMMAS = st.one_of(
 )
 
 
-def _mp_level_difference(gamma, kb, u):
-    """(lambda_D - lambda_S)/gamma^2 at u = 1/N in mpmath, written without
-    cancellation: with z = u^2/D and r = sqrt(1 - gamma^2 z), it is
-    -u^2 (4 delta u (1 - kb u)/D + gamma^2 z/(1 + r)) / (2 (1 + r))."""
-    g2 = mpmath.mpf(gamma) ** 2
-    delta = g2 / (kb + mpmath.sqrt(kb * kb - g2))
-    d = 1 - 2 * delta * u + 2 * kb * delta * u * u
-    z = u * u / d
-    r = mpmath.sqrt(1 - g2 * z)
-    return -u * u * (4 * delta * u * (1 - kb * u) / d + g2 * z / (1 + r)) / (2 * (1 + r))
-
-
 @settings(max_examples=12, deadline=None)
 @given(gamma=GAMMAS, l=st.integers(0, 64), upper=st.booleans(), order=st.integers(3, 24))
 def test_channel_series_matches_mpmath(gamma, l, upper, order):
@@ -297,10 +288,12 @@ def test_channel_series_matches_mpmath(gamma, l, upper, order):
         + scott_shift._series_sums(gamma, la, kba, order)[0]
     )
     with mpmath.workdps(30):
-        c = mpmath.taylor(lambda u: _mp_level_difference(gamma, kb, u), 0, 40)
+        c = mpmath.taylor(lambda u: level_difference_over_gamma2_mp(gamma, kb, u), 0, 40)
         a = l + n0
         ref = 2 * kb * (
-            mpmath.fsum(_mp_level_difference(gamma, kb, mpmath.mpf(1) / (n + l)) for n in range(1, n0))
+            mpmath.fsum(
+                level_difference_over_gamma2_mp(gamma, kb, mpmath.mpf(1) / (n + l)) for n in range(1, n0)
+            )
             + mpmath.fsum(c[k] * mpmath.zeta(k, a) for k in range(3, 41))
         )
         # the proven remainder past the order: 0.12 sum_{k>order} 4^k zeta(k, a)
@@ -328,62 +321,111 @@ def test_taylor_coefficients_open_with_the_tail_coefficients(gamma):
     kb = np.array([1.0, 2.0, 7.0, 300.0])
     c = scott_shift._taylor_coefficients(gamma, kb, 8)
     with mpmath.workdps(30):
-        want = [mpmath.taylor(lambda u: _mp_level_difference(gamma, k, u), 0, 8)[3:] for k in kb.tolist()]
+        want = [
+            mpmath.taylor(lambda u: level_difference_over_gamma2_mp(gamma, k, u), 0, 8)[3:]
+            for k in kb.tolist()
+        ]
     for got, want_k in zip(c, np.array(want, dtype=float).T):
         assert np.allclose(got, want_k, rtol=1e-13, atol=0.0)
 
 
-def _mp_pair_residual(gamma, l):
-    """What the fine-structure model misses of the pair l (both j, all n), in
-    s units, by mpmath nsum."""
-    g2 = mpmath.mpf(gamma) ** 2
-    total = 0
-    for kb in (l, l + 1):
-        def miss(n, kb=kb):
-            return _mp_level_difference(gamma, kb, 1 / n) + g2 / (2 * n**3) * (mpmath.mpf(1) / kb - 0.75 / n)
-        total += 2 * kb * mpmath.nsum(miss, [l + 1, mpmath.inf])
-    return total
-
-
 @pytest.mark.parametrize("gamma", [0.3, 0.9, 1.0 - 1e-9])
 def test_l_tail_bound_holds_for_the_pair_residual(gamma):
-    c = scott_shift._l_tail_bound_coefficient(gamma)
-    with mpmath.workdps(30):
-        for l in (8, 9, 16, 64):
-            m = mpmath.mpf(l) + 0.5
-            rest = _mp_pair_residual(gamma, l) + mpmath.mpf(gamma) ** 4 / 4 * m**-4
-            assert abs(rest) <= c * m**-6, l
+    # |R(l) + (gamma^4/4) m^-4 + (5/32) gamma^4 (2 + gamma^2) m^-6| <= C8 m^-8
+    c8 = scott_shift._l_tail_bound_coefficient(gamma)
+    for l in (8, 9, 16, 64):
+        with mpmath.workdps(40):
+            m, g2 = mpmath.mpf(l) + 0.5, mpmath.mpf(gamma) ** 2
+            model = g2**2 / 4 * m**-4 + 5 * g2**2 * (2 + g2) / 32 * m**-6
+            rest = pair_residual_mp(gamma, l) + model
+            assert abs(rest) <= c8 * m**-8, l
+
+
+# phi_j(x) of _l_tail_bound_coefficient, x = kb/N: the coefficients of x^3,
+# x^4, ..., then their common denominator
+PHI = {
+    1: (-8, 6, 16),
+    2: (-2, -6, 12, -5, 16),
+    3: (-16, -48, -16, 240, -240, 70, 256),
+    4: (-10, -30, -24, 80, 180, -420, 280, -63, 256),
+}
+
+
+def _phi(j, x):
+    *coeffs, denominator = PHI[j]
+    return x**3 * mpmath.polyval(coeffs[::-1], x) / denominator
+
+
+@mpmath.workdps(60)
+def _theta(k, m):
+    """theta_k of the midpoint Euler-Maclaurin bracket of zeta(k, m + 1/2);
+    at m near 10^5 the bracket's last term is 10^-30 of zeta, hence 60 digits."""
+    head = m ** (1 - k) / (k - 1) - k * m ** (-1 - k) / 24
+    head += 7 * mpmath.rf(k, 3) * m ** (-3 - k) / 5760
+    last = 31 * mpmath.rf(k, 5) * m ** (-5 - k) / 967680
+    return (head - mpmath.zeta(k, m + 0.5)) / last
 
 
 def test_l_tail_bound_pieces():
-    # the two steps of _l_tail_bound_coefficient: (i) |P6 + m^-4/4| <= 0.324 m^-6
-    # for l >= 8, and (ii) per level, the part of (lambda_D - lambda_S)/gamma^2
-    # past gamma^4 is at most 0.14 gamma^6 kb^-5 N^-3 for kb >= 8
-    with mpmath.workdps(30):
+    # the steps of _l_tail_bound_coefficient for l >= 8, m = l + 1/2
+    with mpmath.workdps(40):
         for l in [*range(8, 40), 100, 1000, 10**5]:
             lo, hi, m = mpmath.mpf(l), mpmath.mpf(l + 1), mpmath.mpf(l) + 0.5
-            z3, z4, z5, z6 = (mpmath.zeta(k, hi) for k in (3, 4, 5, 6))
-            p6 = -(2 * z3 * (lo**-2 + hi**-2) + 6 * z4 * (1 / lo + 1 / hi) - 24 * z5 + 10 * m * z6) / 8
-            assert abs(p6 + m**-4 / 4) <= 0.324 * m**-6, l
+            z = {k: mpmath.zeta(k, hi) for k in range(3, 9)}
+            # the brackets: 0 <= theta_k <= 1
+            for k in range(3, 9):
+                assert 0 <= _theta(k, m) <= 1, (l, k)
+            # (i) P6, without and with its rational part
+            p6 = -(
+                2 * z[3] * (lo**-2 + hi**-2) + 6 * z[4] * (1 / lo + 1 / hi)
+                - 24 * z[5] + 10 * m * z[6]
+            ) / 8
+            rest6 = p6 + m**-4 / 4 + 5 * m**-6 / 16
+            rational = -7 * (36 * m**2 - 7) / (192 * m**8 * (4 * m**2 - 1) ** 2)
+            assert abs(rest6 - rational) <= 0.042 * m**-8, l
+            assert abs(rest6) <= 0.044 * m**-8, l
+            # (ii) P8
+            p8 = -(
+                z[3] * (lo**-4 + hi**-4) + 3 * z[4] * (lo**-3 + hi**-3) + z[5] * (lo**-2 + hi**-2)
+                - 15 * z[6] * (1 / lo + 1 / hi) + 30 * z[7] - 35 * m * z[8] / 4
+            ) / 8
+            assert abs(p8 + 5 * m**-6 / 32) <= 0.556 * m**-8, l
+            # (iii) the pair factors
+            assert z[3] <= m**-2 / 2 and lo**-6 + hi**-6 <= 2.15 * m**-6, l
+        # (iii) the bracket of phi_4, and |phi(1, t)| <= 2 t^-3
+        for x in mpmath.linspace(0, 1, 1001)[1:]:
+            assert 7 <= -256 * _phi(4, x) / x**3 <= 19.41, x
+            t = 1 / x
+            e = t * t - 2 * (t - 1)
+            phi_at_one = -(t - 1) / (t * t * e) - 1 / (2 * (e + e * mpmath.sqrt(1 - 1 / e)) ** 2)
+            assert abs(phi_at_one) <= 2 * x**3, x
+        # per level: phi_1..phi_4 are the series of the exact difference, and
+        # the terms j >= 4 are at most (0.076 + gamma^2/32) w^4 t^-3
         for gamma in (0.3, 0.9, 1.0 - 1e-9):
             g2 = mpmath.mpf(gamma) ** 2
             for kb in (8, 9, 50):
+                w = g2 / kb**2
                 for n_pr in (kb, kb + 1, 2 * kb, 3 * kb, 10 * kb, 1000 * kb):
-                    c1 = -(4 * n_pr - 3 * kb) / mpmath.mpf(8 * n_pr**4 * kb)
-                    c2 = -(2 * n_pr**3 + 6 * n_pr**2 * kb - 12 * n_pr * kb**2 + 5 * kb**3) / mpmath.mpf(
-                        16 * n_pr**6 * kb**3
-                    )
-                    rest = _mp_level_difference(gamma, kb, mpmath.mpf(1) / n_pr) - c1 * g2 - c2 * g2**2
-                    assert abs(rest) <= 0.14 * g2**3 / (mpmath.mpf(kb) ** 5 * n_pr**3), (gamma, kb, n_pr)
+                    x = mpmath.mpf(kb) / n_pr
+                    phi = kb**2 * level_difference_over_gamma2_mp(gamma, kb, mpmath.mpf(1) / n_pr)
+                    rest3 = phi - sum(_phi(j, x) * w**j for j in (1, 2, 3))
+                    assert abs(rest3) <= (0.076 + g2 / 32) * w**4 * x**3, (gamma, kb, n_pr)
+                    assert abs(rest3 - _phi(4, x) * w**4) <= 2 * w**5 * x**3, (gamma, kb, n_pr)
+
+
+def _mp_model_missed(gamma, l_count):
+    """-(gamma^4/4) zeta(4, L + 1/2) - (5/32) gamma^4 (2 + gamma^2) zeta(6, L + 1/2)."""
+    g2, mid = mpmath.mpf(gamma) ** 2, mpmath.mpf(l_count) + 0.5
+    return -(g2**2) / 4 * mpmath.zeta(4, mid) - 5 * g2**2 * (2 + g2) / 32 * mpmath.zeta(6, mid)
 
 
 def _mp_l_tail(gamma, l_count):
-    """The fine-structure model pairs l >= l_count plus -(gamma^4/4)
-    zeta(4, l_count + 1/2), by the telescoped zeta sums in mpmath."""
+    """The fine-structure model pairs l >= l_count plus _mp_model_missed, by
+    the telescoped zeta sums in mpmath."""
     g2, big_l, a = mpmath.mpf(gamma) ** 2, mpmath.mpf(l_count), mpmath.mpf(l_count) + 1
     z2, z3, z4 = (mpmath.zeta(k, a) for k in (2, 3, 4))
     pairs = -2 * (z2 - big_l * z3) + mpmath.mpf(3) / 4 * (z2 - big_l**2 * z4)
-    return g2 * pairs - g2**2 / 4 * mpmath.zeta(4, big_l + 0.5)
+    return g2 * pairs + _mp_model_missed(gamma, l_count)
 
 
 # at 11, L + 1/2 needs a zeta head sum and L + 1 does not; from 12 neither does
@@ -394,8 +436,8 @@ def test_l_tail_closed_form_matches_mpmath(gamma, l_count):
         ref = _mp_l_tail(gamma, l_count)
         got, bound = scott_shift._l_tail(gamma, l_count)
         assert abs((got - ref) / ref) <= 2e-15
-    c = scott_shift._l_tail_bound_coefficient(gamma)
-    assert bound == c * scott_shift.hurwitz_zeta(6.0, l_count + 0.5)
+    c8 = scott_shift._l_tail_bound_coefficient(gamma)
+    assert bound == c8 * scott_shift.hurwitz_zeta(8.0, l_count + 0.5)
 
 
 @pytest.mark.parametrize("gamma, tol", [(0.2, 1e-8), (0.5, 1e-8), (0.9, 1e-10), (1.0 - 1e-9, 1e-2)])
@@ -412,6 +454,20 @@ def test_shift_makes_two_zeta_calls(gamma, tol, monkeypatch):
     assert len(calls) == 2, calls
 
 
+def test_l_cutoff_stays_at_the_m8_ceiling():
+    # at tol 1e-10, L is at most what C8(1) gives (C8 grows with gamma), and no
+    # (gamma, tol) gets more channels than the m^-6 bound's rule
+    # max(8, ceil((C/(2 tol))^(1/5))), C = (gamma^4 + gamma^6)/3, gave
+    ceiling = math.ceil((scott_shift._l_tail_bound_coefficient(1.0) / 2.8e-10) ** (1.0 / 7.0))
+    assert ceiling <= 30
+    for gamma in (0.3, 0.6, 0.86, 0.9, 0.94, 0.99, 0.9999, 1.0 - 1e-9):
+        assert shift(gamma, 1e-10).l_max + 1 <= ceiling, gamma
+        for tol in (1e-10, 1e-9, 1e-8, 1e-6, 1e-4, 1e-2):
+            c = (gamma**4 + gamma**6) / 3.0
+            m6_rule = max(8, math.ceil((c / (2.0 * tol)) ** 0.2))
+            assert shift(gamma, tol).l_max + 1 <= m6_rule, (gamma, tol)
+
+
 def test_l_tail_reference_matches_the_level_sum():
     # the reference's zeta identities against the pairs summed the other way:
     # level N >= L + 1 holds the pairs L <= l < N, each channel kb weighted
@@ -424,7 +480,7 @@ def test_l_tail_reference_matches_the_level_sum():
             return -2 * (n - big_l) / n**3 + mpmath.mpf(3) / 4 * (n * n - big_l**2) / n**4
 
         pairs = mpmath.nsum(level, [l_count + 1, mpmath.inf], method="euler-maclaurin")
-        nsummed = g2 * pairs - g2**2 / 4 * mpmath.zeta(4, big_l + 0.5)
+        nsummed = g2 * pairs + _mp_model_missed(gamma, l_count)
         assert abs(nsummed / _mp_l_tail(gamma, l_count) - 1) <= mpmath.mpf(10) ** -35
 
 
@@ -483,9 +539,10 @@ def test_series_order_bound_covers_the_cauchy_remainder():
     for budget in (1e-3, 1e-8, 5e-11):
         order, bound = scott_shift._series_order(kb, a, budget)
         assert bound <= budget
-        cauchy = mpmath.fsum(
-            2 * w * scott_shift._F_MAX * 4**k * mpmath.zeta(k, x)
-            for w, x in zip(kb.tolist(), a.tolist())
-            for k in range(order + 1, order + 30)  # the rest is below 8^-30 of it
-        )
-        assert cauchy <= bound
+        with mpmath.workdps(30):
+            cauchy = mpmath.fsum(
+                2 * w * scott_shift._F_MAX * 4**k * mpmath.zeta(k, x)
+                for w, x in zip(kb.tolist(), a.tolist())
+                for k in range(order + 1, order + 30)  # the rest is below 8^-30 of it
+            )
+            assert cauchy <= bound
