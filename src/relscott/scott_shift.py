@@ -19,7 +19,9 @@ Evaluation strategy (all pieces deterministic):
     -(gamma^4/4) m^-4 - (5/32) gamma^4 (2 + gamma^2) m^-6 per l, m = l + 1/2,
     the leading part of what the model misses; the proven bound C8(gamma) m^-8
     on the rest (see _l_tail_bound_coefficient) sets L directly.  The value
-    and the bound take their six zeta values from one array pass;
+    and the bound take their six zeta values from the column for L of
+    _L_TAIL_ZETAS, built once at import for every L <= _L_MAX, so the
+    n-series table is a shift's only zeta call;
   * totals by math.fsum, correctly rounded: no order or block size changes a bit.
 
 tail_estimate adds the series remainder bound, the l-remainder bound and a
@@ -46,6 +48,17 @@ from .zeta import hurwitz_zeta, riemann_zeta
 
 # (zeta(3) - 5 pi^2/24): coefficient of gamma^2 in Schwinger's closed form
 SCHWINGER_COEFFICIENT = riemann_zeta(3.0) - 5.0 * math.pi**2 / 24.0
+# S4 = (19 zeta(4) - 22 zeta(5))/8, correctly rounded: the next coefficient,
+# s(gamma) = SCHWINGER_COEFFICIENT gamma^2 + S4 gamma^4 + O(gamma^6).  With
+# phi_2 of _l_tail_bound_coefficient, level N of channel kb gives gamma^4 times
+# 2 kb^-5 phi_2(kb/N) = -(2 kb^-2 N^-3 + 6 kb^-1 N^-4 - 12 N^-5 + 5 kb N^-6)/8.
+# The channels l < N hold kb = 1..N-1 twice and kb = N once, so with
+# H_p(N) = sum_{k<=N} k^-p level N sums to -(4 H_2 N^-3 + 12 H_1 N^-4 - 19 N^-4
+# + 4 N^-5)/8, and all N to -(4 zeta(3,2) + 12 zeta(4,1) + 20 zeta(5) - 19 zeta(4))/8
+# in the double zeta values zeta(a,b) = sum_{N>m>=1} N^-a m^-b.  Euler's
+# zeta(4,1) = 2 zeta(5) - zeta(2) zeta(3) and zeta(3,2) = 3 zeta(2) zeta(3)
+# - (11/2) zeta(5) leave 22 zeta(5) - 19 zeta(4) in the bracket.
+GAMMA4_COEFFICIENT = -0.28103364658031409
 
 TOL_MIN = 1e-10
 TOL_MAX = 1e-2
@@ -183,23 +196,34 @@ def _series_order(kb: np.ndarray, a: np.ndarray, budget: float) -> tuple[int, fl
     return 3 + i, float(bounds[i])
 
 
-def direct_channel_sum(gamma: float, l_cut: int, n_cut: int) -> float:
+def _truncated_sum_gamma(g: Coupling | float, l_max: int, n_max: int) -> float:
+    """gamma of g in [0, 1], once the cutoffs are checked: ints, l_max >= 0, n_max >= 1."""
+    gamma = _gamma_of(g, closed_top=True)
+    if not (isinstance(l_max, int) and l_max >= 0 and isinstance(n_max, int) and n_max >= 1):
+        raise ValueError(f"cutoffs must be ints, l >= 0 and n >= 1, got {l_max!r}, {n_max!r}")
+    return gamma
+
+
+def direct_channel_sum(g: Coupling | float, l_cut: int, n_cut: int) -> float:
     """Plain truncated channel sum: gamma^-2-weighted, l <= l_cut, n <= n_cut.
 
     Exposes the monotone-refinement surface: every term is negative, so the
-    partial sum is nonincreasing in both cutoffs.
+    partial sum is nonincreasing in both cutoffs.  gamma = 1 is admitted;
+    raises ValueError like schwinger_shift_bruteforce.
     """
+    gamma = _truncated_sum_gamma(g, l_cut, n_cut)
     l, kb = _channel_arrays(l_cut + 1)
     sums = _weighted_channel_sums(difference_over_gamma2_kernel, gamma, l, kb, n_cut)
     return math.fsum(sums.tolist())
 
 
-def _l_tail(gamma: float, l_count: int) -> tuple[float, float]:
+def _l_tail(gamma: float, l_count: int, zetas: list[float]) -> tuple[float, float]:
     """Value of the channels l >= L = l_count, all n: the fine-structure
     model plus -(gamma^4/4) zeta(4, L + 1/2) - (5/32) gamma^4 (2 + gamma^2)
     zeta(6, L + 1/2), the leading part of what the model misses; and its
-    bound C8(gamma) zeta(8, L + 1/2) (see _l_tail_bound_coefficient).  One
-    array call gives all six zeta values, each with its scalar call's bits.
+    bound C8(gamma) zeta(8, L + 1/2) (see _l_tail_bound_coefficient).  zetas
+    holds zeta(_L_TAIL_ORDERS, L + _L_TAIL_OFFSETS), in shift a column of
+    _L_TAIL_ZETAS.
 
     The complete-n channel pair at l >= 1 is
     sum_j (2j+1) sum_n fs(N)/gamma^4 = -2 zeta(3, l+1) + (3/4)(2l+1) zeta(4, l+1),
@@ -208,8 +232,8 @@ def _l_tail(gamma: float, l_count: int) -> tuple[float, float]:
         sum_{l>=L} (2l+1) zeta(s, l+1) = zeta(s-2, L+1) - L^2 zeta(s, L+1).
     The three terms that result cancel only about 5x (-1.25/L, +1/L, -0.25/L).
     """
-    g2, a = gamma * gamma, np.add(l_count, _L_TAIL_OFFSETS)
-    z2, z3, z4, z4_mid, z6_mid, z8_mid = hurwitz_zeta(_L_TAIL_ORDERS, a).tolist()
+    g2 = gamma * gamma
+    z2, z3, z4, z4_mid, z6_mid, z8_mid = zetas
     fine_structure = -1.25 * z2 + 2.0 * l_count * z3 - 0.75 * l_count * l_count * z4
     missed = 0.25 * z4_mid + 0.15625 * (2.0 + g2) * z6_mid
     return g2 * fine_structure - g2 * g2 * missed, _l_tail_bound_coefficient(gamma) * z8_mid
@@ -261,6 +285,17 @@ def _l_tail_bound_coefficient(gamma: float) -> float:
     return g2 * g2 * (1.0 + g2 * (12.0 + 5.0 * g2)) / 20.0
 
 
+# shift's L is at most _L_MAX = ceil((C8(1)/(2.8 TOL_MIN))^(1/7)) = 23, as C8
+# grows with gamma; column L - _L_MIN holds the l-tail's six zeta values at L,
+# each element with its scalar call's bits
+_L_MAX = math.ceil((_l_tail_bound_coefficient(1.0) / (2.8 * TOL_MIN)) ** (1.0 / 7.0))
+_L_TAIL_ZETAS = hurwitz_zeta(
+    np.array(_L_TAIL_ORDERS)[:, None],
+    np.add.outer(_L_TAIL_OFFSETS, np.arange(_L_MIN, _L_MAX + 1.0)),
+)
+_L_TAIL_ZETAS.flags.writeable = False
+
+
 def shift(g: Coupling | float, tol: float | None = None) -> ShiftResult:
     """Spectral shift s(gamma) with |true - returned| <= tail_estimate <= tol.
 
@@ -280,7 +315,9 @@ def shift(g: Coupling | float, tol: float | None = None) -> ShiftResult:
     # the l >= L error is at most C8 zeta(8, L + 1/2) <= C8 L^-7/7 <= 0.4 tol
     c8 = _l_tail_bound_coefficient(gamma)
     l_count = max(_L_MIN, math.ceil((c8 / (2.8 * tol)) ** (1.0 / 7.0)))
-    l_tail, l_res = _l_tail(gamma, l_count)
+    if l_count > _L_MAX:
+        raise ValueError(f"l-tail cutoff L = {l_count} exceeds the zeta table's _L_MAX = {_L_MAX}")
+    l_tail, l_res = _l_tail(gamma, l_count, _L_TAIL_ZETAS[:, l_count - _L_MIN].tolist())
 
     l, kb = _channel_arrays(l_count)
     order, series_res = _series_order(kb, l + _N_SERIES, 0.9 * tol - l_res)
@@ -316,9 +353,7 @@ def schwinger_shift_bruteforce(g: Coupling | float, l_max: int, n_max: int) -> f
     to schwinger_shift as the cutoffs grow (the l-truncation error for
     gamma=1 is about 1/(2 l_max)).  gamma = 1 is admitted.
     """
-    gamma = _gamma_of(g, closed_top=True)
-    if not (isinstance(l_max, int) and l_max >= 0 and isinstance(n_max, int) and n_max >= 1):
-        raise ValueError(f"cutoffs must satisfy l_max >= 0, n_max >= 1, got {l_max}, {n_max}")
+    gamma = _truncated_sum_gamma(g, l_max, n_max)
     if gamma == 0.0:
         return 0.0
     g2 = gamma * gamma

@@ -20,13 +20,17 @@ from relscott import (
 from relscott import scott_shift
 from relscott.hydrogenic import difference_over_gamma2_kernel
 from relscott.quantum_numbers import kappa_bars
-from relscott.scott_shift import direct_channel_sum
+from relscott.scott_shift import GAMMA4_COEFFICIENT, direct_channel_sum
 
 from _oracles import level_difference_over_gamma2_mp, pair_residual_mp
 
 # |s(gamma)/gamma^2 - SCHWINGER_COEFFICIENT| <= K gamma^2 for gamma <= 0.3;
 # K fitted once (observed max 0.297 at gamma=0.3) and frozen.
 SMALL_GAMMA_K = 0.35
+# |s(gamma) - S2 gamma^2 - S4 gamma^4| <= tail + K6 gamma^6 for gamma <= 0.3, with
+# S2 = SCHWINGER_COEFFICIENT and S4 = GAMMA4_COEFFICIENT; K6 fitted once
+# (observed max 0.175 at gamma=0.3, against S6 = -0.164 as gamma -> 0) and frozen.
+SMALL_GAMMA_K6 = 0.2
 
 
 def test_schwinger_coefficient_value():
@@ -34,6 +38,23 @@ def test_schwinger_coefficient_value():
         ref = float(mpmath.zeta(3) - 5 * mpmath.pi**2 / 24)
     assert SCHWINGER_COEFFICIENT == pytest.approx(ref, rel=1e-14)
     assert SCHWINGER_COEFFICIENT == pytest.approx(-0.8541106804006887, rel=1e-14)
+
+
+def test_gamma4_coefficient_is_the_phi2_channel_sum():
+    # S4 = sum over channels of 2 kb^-5 sum_{N>l} phi_2(kb/N): per channel a
+    # polynomial in kb times zeta(k, l + 1), summed over l to 30 digits
+    *coeffs, denominator = PHI[2]
+
+    def channel(l, kb):
+        terms = (c * kb**k * mpmath.zeta(k, l + 1) for k, c in enumerate(coeffs, start=3))
+        return 2 * mpmath.fsum(terms) / (denominator * kb**5)
+
+    with mpmath.workdps(30):
+        pairs = mpmath.nsum(lambda l: channel(l, l) + channel(l, l + 1), [1, mpmath.inf])
+        total = channel(0, 1) + pairs
+        closed = (19 * mpmath.zeta(4) - 22 * mpmath.zeta(5)) / 8
+        assert abs(total - closed) <= mpmath.mpf(10) ** -28
+    assert GAMMA4_COEFFICIENT == float(total)
 
 
 def test_schwinger_shift_values():
@@ -75,6 +96,22 @@ def test_bruteforce_cutoff_validation():
         schwinger_shift_bruteforce(0.5, -1, 100)
     with pytest.raises(ValueError):
         schwinger_shift_bruteforce(0.5, 10, 0)
+
+
+@pytest.mark.parametrize("function", [direct_channel_sum, schwinger_shift_bruteforce])
+@pytest.mark.parametrize(
+    "args, cause",
+    [
+        ((0.5, 3, 0), "cutoffs"),
+        ((1.5, 3, 10), "gamma"),
+        ((0.5, 2.5, 10), "cutoffs"),
+        ((0.5, -1, 10), "cutoffs"),
+        ((-0.1, 3, 10), "gamma"),
+    ],
+)
+def test_truncated_sums_reject_bad_input(function, args, cause):
+    with pytest.raises(ValueError, match=cause):
+        function(*args)
 
 
 def test_zeta_identity_s3():
@@ -157,6 +194,13 @@ def test_shift_small_gamma_consistency_constant():
     for g in (0.05, 0.1, 0.2, 0.3):
         res = shift(g, 1e-10)
         assert abs(res.value / g**2 - SCHWINGER_COEFFICIENT) <= SMALL_GAMMA_K * g**2
+
+
+def test_shift_small_gamma_two_term_series():
+    for g in (0.02, 0.05, 0.1, 0.2, 0.3):
+        res = shift(g, 1e-10)
+        series = SCHWINGER_COEFFICIENT * g**2 + GAMMA4_COEFFICIENT * g**4
+        assert abs(res.value - series) <= res.tail_estimate + SMALL_GAMMA_K6 * g**6, g
 
 
 def test_shift_strong_coupling_limit():
@@ -432,17 +476,21 @@ def _mp_l_tail(gamma, l_count):
 @pytest.mark.parametrize("gamma", [0.3, 0.9, 1.0 - 1e-9])
 @pytest.mark.parametrize("l_count", [8, 9, 11, 12, 17, 33, 81])
 def test_l_tail_closed_form_matches_mpmath(gamma, l_count):
+    # its own zeta values, as L = 33 and 81 lie past shift's table
+    zetas = scott_shift.hurwitz_zeta(
+        scott_shift._L_TAIL_ORDERS, np.add(l_count, scott_shift._L_TAIL_OFFSETS)
+    ).tolist()
     with mpmath.workdps(40):
         ref = _mp_l_tail(gamma, l_count)
-        got, bound = scott_shift._l_tail(gamma, l_count)
+        got, bound = scott_shift._l_tail(gamma, l_count, zetas)
         assert abs((got - ref) / ref) <= 2e-15
     c8 = scott_shift._l_tail_bound_coefficient(gamma)
     assert bound == c8 * scott_shift.hurwitz_zeta(8.0, l_count + 0.5)
 
 
 @pytest.mark.parametrize("gamma, tol", [(0.2, 1e-8), (0.5, 1e-8), (0.9, 1e-10), (1.0 - 1e-9, 1e-2)])
-def test_shift_makes_two_zeta_calls(gamma, tol, monkeypatch):
-    # one for the l-tail and its bound, one for the n-series table
+def test_shift_makes_one_zeta_call(gamma, tol, monkeypatch):
+    # the n-series table over l = 0..l_max; the l-tail reads the import-time table
     calls, zeta = [], scott_shift.hurwitz_zeta
 
     def counted(s, a):
@@ -450,8 +498,28 @@ def test_shift_makes_two_zeta_calls(gamma, tol, monkeypatch):
         return zeta(s, a)
 
     monkeypatch.setattr(scott_shift, "hurwitz_zeta", counted)
-    shift(gamma, tol)
-    assert len(calls) == 2, calls
+    res = shift(gamma, tol)
+    assert calls == [((res.series_order - 2, 1), (res.l_max + 1,))]
+
+
+def test_l_tail_table_columns_equal_the_one_call_values():
+    # column L of the table carries the bits of the l-tail's own array call at L
+    table = scott_shift._L_TAIL_ZETAS
+    assert table.shape == (6, scott_shift._L_MAX - scott_shift._L_MIN + 1)
+    assert not table.flags.writeable
+    for l_count in range(scott_shift._L_MIN, scott_shift._L_MAX + 1):
+        one_call = scott_shift.hurwitz_zeta(
+            scott_shift._L_TAIL_ORDERS, np.add(l_count, scott_shift._L_TAIL_OFFSETS)
+        )
+        column = table[:, l_count - scott_shift._L_MIN]
+        assert column.tolist() == one_call.tolist(), l_count
+
+
+def test_shift_names_an_l_cutoff_past_the_table(monkeypatch):
+    # unreachable on the tol domain; a smaller table shows the error
+    monkeypatch.setattr(scott_shift, "_L_MAX", 12)
+    with pytest.raises(ValueError, match=r"L = 2\d.*_L_MAX = 12"):
+        shift(0.9, 1e-10)
 
 
 def test_l_cutoff_stays_at_the_m8_ceiling():
@@ -460,6 +528,7 @@ def test_l_cutoff_stays_at_the_m8_ceiling():
     # max(8, ceil((C/(2 tol))^(1/5))), C = (gamma^4 + gamma^6)/3, gave
     ceiling = math.ceil((scott_shift._l_tail_bound_coefficient(1.0) / 2.8e-10) ** (1.0 / 7.0))
     assert ceiling <= 30
+    assert scott_shift._L_MAX == ceiling == 23
     for gamma in (0.3, 0.6, 0.86, 0.9, 0.94, 0.99, 0.9999, 1.0 - 1e-9):
         assert shift(gamma, 1e-10).l_max + 1 <= ceiling, gamma
         for tol in (1e-10, 1e-9, 1e-8, 1e-6, 1e-4, 1e-2):
