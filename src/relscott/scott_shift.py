@@ -113,6 +113,14 @@ class ZetaIdentityCheck(NamedTuple):
     zeta_difference: float
 
 
+def check_tol(tol: float | None) -> float:
+    """shift's tol as a float (DEFAULT_TOL for None); ValueError outside [TOL_MIN, TOL_MAX]."""
+    tol = DEFAULT_TOL if tol is None else float(tol)
+    if not (TOL_MIN <= tol <= TOL_MAX):
+        raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
+    return tol
+
+
 def _channel_arrays(l_count: int) -> tuple[np.ndarray, np.ndarray]:
     """l and kb of the channels l < l_count, in the canonical order:
     kb = 1 for l = 0, and kb = l, l + 1 for l >= 1."""
@@ -306,9 +314,7 @@ def shift(g: Coupling | float, tol: float | None = None) -> ShiftResult:
     """
     coupling = g if isinstance(g, Coupling) else Coupling(float(g))
     gamma = coupling.gamma
-    tol = DEFAULT_TOL if tol is None else float(tol)
-    if not (TOL_MIN <= tol <= TOL_MAX):
-        raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
+    tol = check_tol(tol)
     if gamma == 0.0:
         return ShiftResult(coupling, 0.0, 0.0, 0, 0, tol, 0, 0.0, 0.0, 0.0)
 
@@ -369,12 +375,13 @@ def zeta_double_sum_identity_check(s: float) -> ZetaIdentityCheck:
 
     The double sum collapses along diagonals to sum_{M>=2} (M-1) M^-s; it is
     truncated at M <= _IDENTITY_M_CAP = 10,000 with the integral tail bound
-    10,000^(2-s)/(s-2) (hence the s > 2 requirement).  Returns (double_sum,
-    tail_bound, zeta_difference); the first and last agree within tail_bound.
+    10,000^(2-s)/(s-2) (hence the finite s > 2 requirement).  Returns
+    (double_sum, tail_bound, zeta_difference); the first and last agree
+    within tail_bound.
     """
     s = float(s)
-    if not s > 2.0:
-        raise ValueError(f"identity check requires s > 2, got {s}")
+    if not 2.0 < s < math.inf:
+        raise ValueError(f"identity check requires finite s > 2, got {s}")
     m = np.arange(2, _IDENTITY_M_CAP + 1, dtype=float)
     with np.errstate(under="ignore"):
         terms = (m - 1.0) * m ** (-s)

@@ -29,7 +29,8 @@ phi ~ (144/x^3)(1 - F x^-sigma + a2 (F x^-sigma)^2), sigma = (sqrt(73)-7)/2,
 holds at the far end.  The decay law is validated against the computed
 profile, not assumed.  Integrals are Clenshaw-Curtis and Chebyshev
 antiderivatives on the same domains, and values between nodes come from
-barycentric interpolation, so the module needs numpy alone.
+barycentric interpolation, so the module needs numpy alone.  The profile is
+one object with no tolerance in it: every solve_tf call returns the same one.
 """
 
 from __future__ import annotations
@@ -48,11 +49,12 @@ TF_LENGTH_B = 0.5 * (3.0 * math.pi / 4.0) ** (2.0 / 3.0)
 DECAY_SIGMA = (math.sqrt(73.0) - 7.0) / 2.0
 _ASYMP_A2 = 9.0 / (2.0 * ((3.0 + 2.0 * DECAY_SIGMA) * (4.0 + 2.0 * DECAY_SIGMA) - 18.0))
 
-PROFILE_X0 = 1e-6
-PROFILE_X_FAR = 2000.0
-
 TOL_MIN = 1e-10
 TOL_MAX = 1e-4
+
+# the profile's ends, the same for every tol: phi(PROFILE_X_END) < 10 TOL_MIN
+PROFILE_X0 = 1e-6
+PROFILE_X_END = (144.0 / (5.0 * TOL_MIN)) ** (1.0 / 3.0)
 
 _KINETIC_PREF = 1.2 * 2.0 ** (4.0 / 3.0) / (3.0 * math.pi) ** (2.0 / 3.0)
 
@@ -98,16 +100,31 @@ def _require_positive(**values: float) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _elementwise(values, requirement: str, f):
-    """f over the flattened values, which must be positive and finite: a
-    float for a scalar, else an array of the input's shape.  A valid float
-    (Python or np.float64) goes to f as a one-element array, unchecked."""
+@np.errstate(all="ignore")
+def _finite(name: str, compute, **args):
+    """compute() with numpy's float warnings off; a result that is not finite,
+    or an ArithmeticError on the way, is a ValueError naming args."""
+    cause = None
+    try:
+        out = compute()
+        if math.isfinite(out) if isinstance(out, float) else np.isfinite(out).all():
+            return out
+    except ArithmeticError as exc:
+        cause = exc
+    named = ", ".join(f"{key} = {value}" for key, value in args.items())
+    raise ValueError(f"{name} cannot be evaluated in floats at {named}") from cause
+
+
+def _elementwise(values, name: str, arg: str, f, **fixed):
+    """_finite of f over the flattened values of arg, which must be positive
+    and finite: a float for a scalar, else an array of the input's shape.  A
+    valid float (Python or np.float64) goes to f as a one-element array."""
     if isinstance(values, float) and 0.0 < values < math.inf:
-        return float(f(np.array([values]))[0])
+        return _finite(name, lambda: float(f(np.array([values]))[0]), **fixed, **{arg: values})
     x = np.asarray(values, dtype=float)
     if not np.all((x > 0.0) & (x < math.inf)):
-        raise ValueError(requirement)
-    out = f(x.reshape(-1))
+        raise ValueError(f"{name} requires finite {arg} > 0")
+    out = _finite(name, lambda: f(x.reshape(-1)), **fixed, **{arg: values})
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
@@ -254,8 +271,8 @@ class TfSolution:
 
     grid/phi/dphi hold phi(x) and phi'(x) at the collocation nodes: the
     Chebyshev-Lobatto points of each domain in t = ln sqrt(x), each domain
-    end once, from PROFILE_X0 out to a far end chosen so the endpoint value
-    sits below 10*tol.  A node table adds q(x), o(x), int_0^x t dq and
+    end once, from PROFILE_X0 out to PROFILE_X_END, where phi sits below
+    10*TOL_MIN.  A node table adds q(x), o(x), int_0^x t dq and
     int_x^inf t dq; every profile function, field and hole quantity reads all
     columns in one barycentric lookup (series below the grid, fitted
     power-law decay above).  Energies are Hartree at Z = 1.  Instances are
@@ -271,7 +288,6 @@ class TfSolution:
     attraction_1: float
     repulsion_1: float
     asymptote_coefficient: float
-    solver_tol: float
     _table: _NodeTable
 
     def _columns(self, x) -> np.ndarray:
@@ -305,22 +321,20 @@ class TfSolution:
 
     def phi_at(self, x) -> np.ndarray:
         """Profile phi(x) for any x > 0 (scalar or array)."""
-        return _elementwise(x, "phi_at requires finite x > 0", lambda t: self._columns(t)[:, _PHI])
+        return _elementwise(x, "phi_at", "x", lambda t: self._columns(t)[:, _PHI])
 
     def dphi_at(self, x) -> np.ndarray:
         """Profile derivative phi'(x) for any x > 0."""
-        return _elementwise(x, "dphi_at requires finite x > 0",
-                            lambda t: self._columns(t)[:, _DPHI])
+        return _elementwise(x, "dphi_at", "x", lambda t: self._columns(t)[:, _DPHI])
 
     def enclosed_profile_charge(self, x) -> np.ndarray:
         """q(x) = int_0^x phi^{3/2} sqrt(t) dt; q(inf) = 1 (charge fraction)."""
-        return _elementwise(x, "enclosed_profile_charge requires finite x > 0",
+        return _elementwise(x, "enclosed_profile_charge", "x",
                             lambda t: self._columns(t)[:, _CHARGE])
 
     def outer_profile_integral(self, x) -> np.ndarray:
         """o(x) = int_x^inf phi^{3/2} t^{-1/2} dt = -phi'(x) for the exact profile."""
-        return _elementwise(x, "outer_profile_integral requires finite x > 0",
-                            lambda t: self._columns(t)[:, _OUTER])
+        return _elementwise(x, "outer_profile_integral", "x", lambda t: self._columns(t)[:, _OUTER])
 
     def export_profile_csv(self, path) -> None:
         """Write the x,phi table (12 significant digits)."""
@@ -422,19 +436,20 @@ def _collocation_solve(t_nodes, diff):
 def solve_tf(tol: float = 1e-8) -> TfSolution:
     """Solve the neutral-atom profile and evaluate the TF functional at Z=1.
 
-    tol in [1e-10, 1e-4] sets the far end, so that phi(x_end) ~ 144/x_end^3
-    sits below 10*tol; at every tol the collocation is iterated to its
-    rounding floor.  E_TF(1) is computed by inserting the reconstructed
-    minimizer into the functional (kinetic, attraction, repulsion pieces by
-    radial quadrature), not from the slope shortcut.
+    tol must lie in [1e-10, 1e-4], but the result does not depend on it: the
+    far end is PROFILE_X_END for every tol, where phi(x_end) ~ 144/x_end^3
+    sits below 10*TOL_MIN, and the collocation is iterated to its rounding
+    floor, so every tol gives the same profile bit for bit.  E_TF(1) is
+    computed by inserting the reconstructed minimizer into the functional
+    (kinetic, attraction, repulsion pieces by radial quadrature), not from the
+    slope shortcut.
     """
     tol = float(tol)
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
-    x_far = max(PROFILE_X_FAR, (144.0 / (5.0 * tol)) ** (1.0 / 3.0))
 
     nodes, weights, diff, integ = _lobatto(_DEGREE)
-    breaks = np.array([0.5 * math.log(PROFILE_X0), *_DOMAIN_BREAKS, 0.5 * math.log(x_far)])
+    breaks = np.array([0.5 * math.log(PROFILE_X0), *_DOMAIN_BREAKS, 0.5 * math.log(PROFILE_X_END)])
     half_width = 0.5 * np.diff(breaks)
     t = 0.5 * (breaks[:-1] + breaks[1:])[:, None] + half_width[:, None] * nodes
     t[:, 0], t[:, -1] = breaks[:-1], breaks[1:]
@@ -487,7 +502,7 @@ def solve_tf(tol: float = 1e-8) -> TfSolution:
     i_kin = total(d_attr * phi) + 2.0 * v0 + (5.0 / 3.0) * slope * v0**3 + tail_k
 
     # D = (1/2b) int dq (q/x + o): below x0, dq = sqrt(x) dx, q/x = (2/3) sqrt(x)
-    # and o = o(x0) + 2 (sqrt(x0) - sqrt(x)); past x_far, q -> 1 turns dq q/x
+    # and o = o(x0) + 2 (sqrt(x0) - sqrt(x)); past x_end, q -> 1 turns dq q/x
     # into the I_A tail, and dq o is O(x^-7) smaller
     head_r = (2.0 / 3.0) * v0**3 * (o_nodes[0, 0] + v0)
     i_rep = total(d_charge * (q_nodes / x + o_nodes)) + head_r + tail_a
@@ -516,7 +531,6 @@ def solve_tf(tol: float = 1e-8) -> TfSolution:
         attraction_1=float(attraction),
         repulsion_1=float(repulsion),
         asymptote_coefficient=float(coeff_f),
-        solver_tol=tol,
         _table=table,
     )
 
@@ -568,7 +582,7 @@ class RadialDensity:
             phi = self._sol._columns(w / TF_LENGTH_B)[:, _PHI]
             return self.Z**2 * ((2.0 * phi / w) ** 1.5 / (3.0 * math.pi**2))
 
-        return _elementwise(r, "density requires finite r > 0", rho)
+        return _elementwise(r, "density", "r", rho, Z=self.Z)
 
 
 def density(Z: float, sol: TfSolution) -> RadialDensity:
@@ -590,7 +604,7 @@ def mean_field(Z: float, sol: TfSolution, r) -> float | np.ndarray:
         cols = sol._columns(x)
         return Z ** (4.0 / 3.0) * ((cols[:, _CHARGE] / x + cols[:, _OUTER]) / TF_LENGTH_B)
 
-    return _elementwise(r, "mean_field requires finite r > 0", potential)
+    return _elementwise(r, "mean_field", "r", potential, Z=Z)
 
 
 def _ball_rows(sol: TfSolution, x: tuple) -> list:
@@ -685,6 +699,8 @@ def _hole_radius(sol: TfSolution, Z: float, d: float):
     if Z <= 0.5:
         raise InsufficientChargeError(
             f"total charge {Z} <= 1/2: the half-charge ball would hold the whole atom")
+    if not 0.0 < d < math.inf:
+        raise ArithmeticError(f"the centre d = {d} (TF units) is not a positive float")
     target = 0.5 / Z
     lo, hi, reached = 0.0, d + float(sol.grid[-1]), False
     radius = min(hi, (3.0 * target) ** (1.0 / 3.0) * math.sqrt(d * math.exp(-_sommerfeld_psi(d))),
@@ -729,10 +745,16 @@ def exchange_hole_radius(Z: float, sol: TfSolution, r: float) -> float:
     Sommerfeld's closed form, or d + (3Q/2)^(2/3) if smaller (a ball far out
     must reach the core), and stop once a step is below 1e-13 + 8.9e-16 R_1
     or Q is within its rounding bound of 1/(2Z).  Z <= 1/2 has no radius.
+    Where floats cannot hold the search (d^4 overflows or Q underflows, say),
+    ValueError names Z and r.
     """
     _require_positive(Z=Z, r=r)
     scale = Z ** (1.0 / 3.0)
-    return _hole_radius(sol, Z, r * scale / TF_LENGTH_B)[0] * TF_LENGTH_B / scale
+
+    def radius():
+        return _hole_radius(sol, Z, r * scale / TF_LENGTH_B)[0] * TF_LENGTH_B / scale
+
+    return _finite("exchange_hole_radius", radius, Z=Z, r=r)
 
 
 def screening_potential(Z: float, c: float, sol: TfSolution, x: float) -> float:
@@ -744,11 +766,16 @@ def screening_potential(Z: float, c: float, sol: TfSolution, x: float) -> float:
     rows of the radius search itself (its first lookup adds the centre; the
     window ends are looked up again only if it stopped on the step test).
     Satisfies 0 < chi(x) < c^-2 V_Z(x/c) and ||chi||_inf <= C Z^{4/3} c^-2.
+    Where floats cannot hold it, ValueError names Z, c and x.
     """
     _require_positive(Z=Z, c=c, x=x)
-    d = x / c * Z ** (1.0 / 3.0) / TF_LENGTH_B
-    radius, rows, centre = _hole_radius(sol, Z, d)
-    window = rows or _ball_rows(sol, (abs(radius - d), radius + d))
-    hole = Z ** (4.0 / 3.0) * _ball_potential(sol, d, radius, *window, centre) / TF_LENGTH_B
-    full = Z ** (4.0 / 3.0) * ((centre[0] / d + centre[6]) / TF_LENGTH_B)
-    return (full - hole) / (c * c)
+
+    def chi():
+        d = x / c * Z ** (1.0 / 3.0) / TF_LENGTH_B
+        radius, rows, centre = _hole_radius(sol, Z, d)
+        window = rows or _ball_rows(sol, (abs(radius - d), radius + d))
+        hole = Z ** (4.0 / 3.0) * _ball_potential(sol, d, radius, *window, centre) / TF_LENGTH_B
+        full = Z ** (4.0 / 3.0) * ((centre[0] / d + centre[6]) / TF_LENGTH_B)
+        return (full - hole) / (c * c)
+
+    return _finite("screening_potential", chi, Z=Z, c=c, x=x)

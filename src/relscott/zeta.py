@@ -9,11 +9,14 @@ head sum is formed, where a >= max(12, s) already.  For real s > 1 the
 truncation error is bounded by the first omitted correction term; with
 T >= max(12, s) and R = 10 that term is far below 1e-16 for every s used here,
 so results are accurate to double rounding (absolute error well under 1e-14).
+Each head term is one numpy step, so at most _HEAD_MAX of them are taken.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+_HEAD_MAX = 1000
 
 # B_{2r}/(2r)! for r = 1..10, correctly rounded
 _EM_COEFFS = (
@@ -30,6 +33,7 @@ _EM_COEFFS = (
 )
 
 
+@np.errstate(all="ignore")
 def hurwitz_zeta(s: float | np.ndarray, a: float | np.ndarray) -> float | np.ndarray:
     """Hurwitz zeta sum_{k>=0} (a+k)^-s for real s > 1, a > 0.
 
@@ -38,7 +42,10 @@ def hurwitz_zeta(s: float | np.ndarray, a: float | np.ndarray) -> float | np.nda
     ndarray).  Powers go through np.float_power, which calls the C library's
     pow for every element like Python's float **, so an array element carries
     the same bits as the scalar call (np.power may use SIMD approximations
-    that differ in the last bit).
+    that differ in the last bit).  ValueError names s or a out of range,
+    and s and a where the head would take more than _HEAD_MAX terms (s far
+    above a, or infinite) or floats cannot hold the sum (a^-s overflows for
+    small a, say).
     """
     order, arg = np.asarray(s, dtype=float), np.asarray(a, dtype=float)
     for name, given, values, low in (("s", s, order, 1), ("a", a, arg, 0)):
@@ -50,8 +57,12 @@ def hurwitz_zeta(s: float | np.ndarray, a: float | np.ndarray) -> float | np.nda
     # size, compensated; an element's sum and compensation stay exactly 0
     # until its first term, k = m - 1
     m = np.maximum(0.0, np.ceil(np.maximum(12.0, order) - arg))
+    terms = float(m.max(initial=0.0))
+    if not terms <= _HEAD_MAX:  # nan for s = a = inf
+        raise ValueError(f"hurwitz_zeta needs {terms:g} head terms at s={s}, a={a}: "
+                         f"at most {_HEAD_MAX}, so s - a <= {_HEAD_MAX}")
     head = comp = 0.0
-    for k in range(int(m.max(initial=0.0)) - 1, -1, -1):
+    for k in range(int(terms) - 1, -1, -1):
         y = np.float_power(arg + k, -order, out=np.zeros(m.shape), where=k < m) - comp
         t = head + y
         comp = (t - head) - y
@@ -67,6 +78,8 @@ def hurwitz_zeta(s: float | np.ndarray, a: float | np.ndarray) -> float | np.nda
         poch = poch * ((order + 2.0 * r - 1.0) * (order + 2.0 * r))
         tpow *= inv_t2
     total = head + tail
+    if not np.isfinite(total).all():
+        raise ValueError(f"hurwitz_zeta cannot be evaluated in floats at s={s}, a={a}")
     return float(total) if total.ndim == 0 else total
 
 

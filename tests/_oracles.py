@@ -33,7 +33,7 @@ from relscott.thomas_fermi import (
     _KINETIC_PREF,
     DECAY_SIGMA,
     PROFILE_X0,
-    PROFILE_X_FAR,
+    PROFILE_X_END,
     TF_LENGTH_B,
     _asymptote_dphi,
     _asymptote_phi,
@@ -150,15 +150,15 @@ def shoot_classify(slope: float) -> int:
 def solve_tf_bvp(tol: float) -> tuple[float, float]:
     """(initial slope, E_TF(1)) from scipy's solve_bvp on psi = ln(phi).
 
-    Collocation in v = sqrt(x) on a 4,001-node geometric mesh started from
-    Sommerfeld's profile, with the same Robin and power-law conditions as the
-    library; E_TF(1) from Simpson rules on a 30,001-point resample of the
-    collocation spline, with the same heads and tails.
+    Collocation in v = sqrt(x) out to the library's PROFILE_X_END, on a
+    6,001-node geometric mesh started from Sommerfeld's profile, with the
+    same Robin and power-law conditions as the library; E_TF(1) from Simpson
+    rules on a 30,001-point resample of the collocation spline, with the same
+    heads and tails.
     """
     bvp_tol = min(1e-7, max(1e-11, 0.01 * tol))
-    x_far = max(PROFILE_X_FAR, (144.0 / (5.0 * tol)) ** (1.0 / 3.0))
     v0 = math.sqrt(PROFILE_X0)
-    v_far = math.sqrt(x_far)
+    v_far = math.sqrt(PROFILE_X_END)
     x_end = v_far * v_far
 
     def rhs(v, y, p):
@@ -172,7 +172,7 @@ def solve_tf_bvp(tol: float) -> tuple[float, float]:
             0.5 * v_far * yb[1] - x_end * _asymptote_dphi(x_end, p[0]) / phi_end,
         ])
 
-    v_mesh = np.geomspace(v0, v_far, 4001 if x_far <= 3000.0 else 6001)
+    v_mesh = np.geomspace(v0, v_far, 6001)
     x_mesh = v_mesh * v_mesh
     psi_g = np.log((1.0 + (x_mesh**3 / 144.0) ** (DECAY_SIGMA / 3.0)) ** (-3.0 / DECAY_SIGMA))
     sol = solve_bvp(rhs, bc, v_mesh, np.vstack([psi_g, np.gradient(psi_g, v_mesh)]),

@@ -140,6 +140,15 @@ def test_comparison_flags_beyond_domain(tf_solution):
     assert big.empirical_q is not None and math.isfinite(big.schwinger_q)
 
 
+@pytest.mark.parametrize("tol", [5.0, 1e-11, math.nan])
+@pytest.mark.parametrize("records", [[NistRecord(140, -1e6)], []])
+def test_comparison_rejects_tol_even_without_shift(records, tol, tf_solution):
+    # Z = 140 is flagged (alpha Z >= 1), so no row reaches shift
+    message = "^" + re.escape(f"tol must lie in [1e-10, 0.01], got {tol}") + "$"
+    with pytest.raises(ValueError, match=message):
+        comparison_table(records, None, PhysicalConstants(), tf_solution, tol)
+
+
 def test_comparison_model_q_decreasing(tf_solution):
     records = [NistRecord(z, -0.5 * z**2.5) for z in (1, 20, 50, 90, 120)]
     rows = comparison_table(records, None, PhysicalConstants(), tf_solution, 1e-8)

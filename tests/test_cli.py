@@ -94,6 +94,18 @@ def test_curve_domain_errors():
     assert run_cli("curve", "--gamma-min", "0", "--gamma-max", "0.5", "--steps", "1").returncode != 0
 
 
+@pytest.mark.parametrize("steps", ["1", "100001", "1000000000"])
+def test_curve_steps_rejected_before_any_shift(steps, monkeypatch, capsys):
+    def no_shift(*args, **kwargs):
+        raise AssertionError("shift ran for an invalid --steps")
+
+    monkeypatch.setattr("relscott.cli.shift", no_shift)
+    assert main(["curve", "--gamma-min", "0", "--gamma-max", "0.5", "--steps", steps]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: steps must lie in [2, 100000], got {steps}\n"
+    assert captured.out == ""
+
+
 def test_tf_default_run():
     res = run_cli("tf")
     assert res.returncode == 0

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import mpmath
@@ -139,6 +140,11 @@ def test_zeta_identity_large_s():
 def test_zeta_identity_domain():
     with pytest.raises(ValueError):
         zeta_double_sum_identity_check(2.0)
+    for s in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=re.escape(f"requires finite s > 2, got {s}") + "$"):
+            zeta_double_sum_identity_check(s)
+    with pytest.raises(ValueError, match=re.escape("head terms at s=1e+300, a=1.0")):
+        zeta_double_sum_identity_check(1e300)
 
 
 def test_shift_gamma_zero():

@@ -1,9 +1,14 @@
+import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -11,16 +16,19 @@ from relscott import (
     InsufficientChargeError,
     density,
     exchange_hole_radius,
+    hurwitz_zeta,
     mean_field,
     screening_potential,
     solve_tf,
     tf_energy,
     tf_functional_at_scale,
 )
+from relscott.cli import main
 from relscott.thomas_fermi import (
     _GAUSS_W,
     _GAUSS_X,
     TF_LENGTH_B,
+    TOL_MIN,
     _ball_charge,
     _ball_potential,
     _ball_rows,
@@ -100,7 +108,7 @@ def test_profile_shape(tf_solution):
 
 
 def test_profile_endpoint(tf_solution):
-    assert tf_solution.phi[-1] < 10.0 * tf_solution.solver_tol
+    assert tf_solution.phi[-1] < 10.0 * TOL_MIN
 
 
 def test_decay_law_validated(tf_solution):
@@ -435,6 +443,40 @@ def test_non_finite_input_names_the_argument(tf_solution, bad):
             call()
 
 
+# +-0, subnormals, the smallest normal, 1e+-300, the largest float, +-inf and
+# nan, besides any float and ordinary values
+_EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, -1e-300,
+    1e300, -1e300, 1.7976931348623157e308, math.inf, -math.inf, math.nan,
+]) | st.floats(allow_nan=True, allow_infinity=True) | st.floats(0.5, 200.0)
+_PUBLIC_CALLS = {
+    "density": (("Z", "r"), lambda sol, Z, r: density(Z, sol)(r)),
+    "mean_field": (("Z", "r"), lambda sol, Z, r: mean_field(Z, sol, r)),
+    "exchange_hole_radius": (("Z", "r"), lambda sol, Z, r: exchange_hole_radius(Z, sol, r)),
+    "screening_potential": (("Z", "c", "x"),
+                            lambda sol, Z, c, x: screening_potential(Z, c, sol, x)),
+    "hurwitz_zeta": (("s", "a"), lambda sol, s, a: hurwitz_zeta(s, a)),
+}
+
+
+@pytest.mark.parametrize("name", list(_PUBLIC_CALLS))
+@settings(max_examples=30, deadline=None)
+@given(values=st.tuples(_EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS))
+def test_any_float_gives_a_finite_value_or_names_the_argument(tf_solution, name, values):
+    names, call = _PUBLIC_CALLS[name]
+    args = dict(zip(names, values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = call(tf_solution, **args)
+        except InsufficientChargeError:
+            return  # documented: total charge too close to 1/2 for a hole radius
+        except ValueError as exc:
+            assert any(re.search(rf"\b{arg}\b", str(exc)) for arg in names), str(exc)
+            return
+    assert math.isfinite(value), (args, value)
+
+
 def test_profile_export(tf_solution, tmp_path):
     out = tmp_path / "profile.csv"
     tf_solution.export_profile_csv(out)
@@ -451,6 +493,24 @@ def test_solver_tol_domain():
         solve_tf(1e-3)
     with pytest.raises(ValueError):
         solve_tf(1e-11)
+
+
+def test_one_profile_for_every_tol(capsys):
+    # tol is validated but does not reach the profile: the far end is fixed
+    solutions = [solve_tf(tol) for tol in (1e-4, 1e-8, 1e-10)]
+    first = solutions[0]
+    assert first.phi[-1] < 1e-9
+    for sol in solutions[1:]:
+        for name in ("grid", "phi", "dphi"):
+            assert np.array_equal(getattr(sol, name), getattr(first, name)), name
+        for name in ("initial_slope", "e_tf_1", "kinetic_1", "attraction_1", "repulsion_1",
+                     "asymptote_coefficient"):
+            assert getattr(sol, name) == getattr(first, name), name
+    printed = []
+    for tol in ("1e-4", "1e-10"):
+        assert main(["tf", "--json", "--tol", tol]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
 
 
 def test_solver_tolerance_extremes():

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -55,6 +56,12 @@ def test_domain_errors():
         hurwitz_zeta(1.0, 1.0)
     with pytest.raises(ValueError):
         hurwitz_zeta(3.0, 0.0)
+    for s in (math.inf, 1e300):
+        with pytest.raises(ValueError, match=re.escape(f"head terms at s={s}, a=2.0")):
+            hurwitz_zeta(s, 2.0)
+    for s, a in ((2.0, 1e-300), (1e300, 1e300)):
+        with pytest.raises(ValueError, match=re.escape(f"in floats at s={s}, a={a}") + "$"):
+            hurwitz_zeta(s, a)
 
 
 def test_euler_maclaurin_coefficients_are_the_rounded_fractions():
