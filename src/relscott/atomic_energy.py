@@ -36,16 +36,17 @@ class PhysicalConstants:
 
 @dataclass(frozen=True)
 class NistRecord:
-    """One element: nuclear charge and total ground-state energy (Hartree)."""
+    """One element: nuclear charge Z, an int >= 1 (not a bool), and a finite, negative
+    total ground-state energy (Hartree); the table readers check their rows here."""
 
     Z: int
     e_total: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.Z, int) or self.Z < 1:
+        if isinstance(self.Z, bool) or not isinstance(self.Z, int) or self.Z < 1:
             raise ValueError(f"Z must be an integer >= 1, got {self.Z!r}")
-        if not self.e_total < 0.0:
-            raise ValueError(f"total energy must be negative, got {self.e_total!r}")
+        if not -math.inf < self.e_total < 0.0:
+            raise ValueError(f"e_total must be finite and negative, got {self.e_total!r}")
 
 
 @dataclass(frozen=True)
@@ -72,9 +73,8 @@ def predict_energy(
     return e_tf + (0.5 + shift(g, tol).value) * Z * Z
 
 
-def _parse_table(text: str, header: str) -> list[tuple[int, float]]:
-    rows: list[tuple[int, float]] = []
-    seen: set[int] = set()
+def _parse_table(text: str, header: str) -> list[NistRecord]:
+    records: dict[int, NistRecord] = {}
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -91,38 +91,29 @@ def _parse_table(text: str, header: str) -> list[tuple[int, float]]:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 2 comma-separated fields, got '{line}'")
         try:
-            z = int(parts[0])
-            value = float(parts[1])
+            rec = NistRecord(int(parts[0]), float(parts[1]))
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: malformed row '{line}': {exc}") from None
-        if not math.isfinite(value):
-            raise ValueError(f"line {lineno}: non-finite energy {parts[1]!r}")
-        if z < 1:
-            raise ValueError(f"line {lineno}: Z must be >= 1, got {z}")
-        if z in seen:
-            raise ValueError(f"line {lineno}: duplicate Z = {z}")
-        if value >= 0.0:
-            raise ValueError(f"line {lineno}: energy must be negative, got {value}")
-        seen.add(z)
-        rows.append((z, value))
+            raise ValueError(f"line {lineno}: bad row '{line}': {exc}") from None
+        if rec.Z in records:
+            raise ValueError(f"line {lineno}: duplicate Z = {rec.Z}")
+        records[rec.Z] = rec
     if not header_seen:
         raise ValueError(f"no header line '{header}' found")
-    rows.sort(key=lambda t: t[0])
-    return rows
+    return sorted(records.values(), key=lambda r: r.Z)
 
 
 def ingest_energy_table(source: str) -> list[NistRecord]:
     """Parse CSV text with header Z,E_total_Ha ('#' comments allowed).
 
-    Returns records sorted by Z; malformed rows, duplicate Z, and positive
-    energies raise ValueError naming the offending line.
+    Returns records sorted by Z; a malformed row, a row NistRecord rejects
+    and a duplicate Z raise ValueError naming the offending line.
     """
-    return [NistRecord(z, e) for z, e in _parse_table(source, ENERGY_TABLE_HEADER)]
+    return _parse_table(source, ENERGY_TABLE_HEADER)
 
 
 def ingest_reference_table(source: str) -> list[NistRecord]:
     """Parse a reference table (header Z,E_ref_Ha), same validation rules."""
-    return [NistRecord(z, e) for z, e in _parse_table(source, REFERENCE_TABLE_HEADER)]
+    return _parse_table(source, REFERENCE_TABLE_HEADER)
 
 
 def emit_energy_table(records: list[NistRecord]) -> str:

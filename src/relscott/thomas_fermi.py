@@ -36,7 +36,9 @@ one object with no tolerance in it: every solve_tf call returns the same one.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -68,7 +70,7 @@ _NEWTON_MAX_STEPS = 30
 
 # columns of the node table: ln phi, d ln phi/dt, q(x), o(x) and the
 # moments p(x) = int_0^x t dq and its rest int_x^inf t dq; lookups
-# (_NodeTable, TfSolution._columns) return phi and phi' in the first two
+# (_NodeTable.rows, TfSolution._rows) return phi and phi' in the first two
 _PSI, _PSI_T, _CHARGE, _OUTER, _MOMENT, _MOMENT_REST = range(6)
 _PHI, _DPHI = _PSI, _PSI_T
 
@@ -128,17 +130,21 @@ def _elementwise(values, name: str, arg: str, f, **fixed):
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
-def _series_phi(x, slope: float):
-    return 1.0 + slope * x + (4.0 / 3.0) * x**1.5 + 0.4 * slope * x**2.5
+def _libm(f, a):
+    """f (a float function on math, the C library) at each element of a float
+    or small array: numpy's exp, log, log1p and cos round per SIMD target."""
+    if isinstance(a, float):
+        return f(a)
+    return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
-def _series_dphi(x, slope: float):
-    return slope + 2.0 * np.sqrt(x) + slope * x**1.5 + x * x
-
-
-def _head_moments(x, slope: float):
-    """q(x) and p(x) = int_0^x t dq from phi^{3/2} = 1 + (3/2) slope x."""
-    return ((2.0 / 3.0) + 0.6 * slope * x) * x**1.5, (0.4 + (3.0 / 7.0) * slope * x) * x**2.5
+def _head(x: float, slope: float):
+    """phi, phi', q(x) and p(x) = int_0^x t dq below the grid, from the series
+    phi = 1 + s x + (4/3) x^{3/2} + (2/5) s x^{5/2} and phi^{3/2} = 1 + (3/2) s x."""
+    x15, x25 = np.float_power(x, 1.5), np.float_power(x, 2.5)
+    return (1.0 + slope * x + (4.0 / 3.0) * x15 + 0.4 * slope * x25,
+            slope + 2.0 * np.sqrt(x) + slope * x15 + x * x,
+            ((2.0 / 3.0) + 0.6 * slope * x) * x15, (0.4 + (3.0 / 7.0) * slope * x) * x25)
 
 
 def _decay_factor(tau):
@@ -151,39 +157,33 @@ def _decay_factor(tau):
     return u, du, 2.0 * _ASYMP_A2 * tau - 1.0, DECAY_SIGMA - 4.0 * DECAY_SIGMA * _ASYMP_A2 * tau
 
 
-def _asymptote_phi(x, coeff: float):
-    u = _decay_factor(coeff * x ** (-DECAY_SIGMA))[0]
-    return 144.0 / x**3 * u
+def _decay(x: float, coeff: float):
+    """phi, phi' and int_x^inf t^{3/2} phi^{3/2} dt (u^{3/2} to order tau^2)
+    of the power-law decay phi ~ (144/x^3) u above the grid."""
+    tau = coeff * np.float_power(x, -DECAY_SIGMA)
+    u, du = _decay_factor(tau)[:2]
+    return (144.0 / np.float_power(x, 3.0) * u, 144.0 / np.float_power(x, 4.0) * (-3.0 * u + du),
+            1728.0 / (x * x) * (0.5 - 1.5 * tau / (2.0 + DECAY_SIGMA) + (1.5 * _ASYMP_A2 + 0.375)
+                                * tau * tau / (2.0 + 2.0 * DECAY_SIGMA)))
 
 
-def _asymptote_dphi(x, coeff: float):
-    u, du = _decay_factor(coeff * x ** (-DECAY_SIGMA))[:2]
-    return 144.0 / x**4 * (-3.0 * u + du)
-
-
-def _asymptote_moment(x, coeff: float):
-    """int_x^inf t^{3/2} phi^{3/2} dt of the decay, u^{3/2} to order tau^2."""
-    tau = coeff * x ** (-DECAY_SIGMA)
-    return 1728.0 / x**2 * (0.5 - 1.5 * tau / (2.0 + DECAY_SIGMA)
-                            + (1.5 * _ASYMP_A2 + 0.375) * tau * tau / (2.0 + 2.0 * DECAY_SIGMA))
-
-
-def _sommerfeld_psi(x):
+def _sommerfeld_psi(x: float) -> float:
     """ln phi of Sommerfeld's closed form (1 + (x^3/144)^(sigma/3))^(-3/sigma)."""
-    return -(3.0 / DECAY_SIGMA) * np.log1p((x**3 / 144.0) ** (DECAY_SIGMA / 3.0))
+    return -(3.0 / DECAY_SIGMA) * math.log1p((x**3 / 144.0) ** (DECAY_SIGMA / 3.0))
 
 
+@cache
 def _lobatto(n: int):
     """Chebyshev-Lobatto nodes of degree n on [-1, 1], ascending.
 
     Returns the nodes, their barycentric weights, the differentiation matrix
     and the cumulative-integration matrix (node values of f to node values of
     int_{-1}^{s} f, exact for polynomials of degree n; its last row holds the
-    Clenshaw-Curtis weights).
+    Clenshaw-Curtis weights), read-only: every solve shares one set.
     """
     j = np.arange(n + 1)
     theta = np.pi - np.pi * j / n
-    nodes = np.cos(theta)
+    nodes = _libm(math.cos, theta)
     weights = (-1.0) ** j
     weights[[0, -1]] = 0.5 * weights[[0, -1]]
     gap = nodes[:, None] - nodes
@@ -193,7 +193,7 @@ def _lobatto(n: int):
     np.fill_diagonal(diff, -diff.sum(axis=1))
     # values -> Chebyshev coefficients -> antiderivative coefficients -> values
     k = np.arange(n + 2)
-    cheb = np.cos(np.outer(theta, k))  # T_k(nodes), k = 0..n+1
+    cheb = _libm(math.cos, np.outer(theta, k))  # T_k(nodes), k = 0..n+1
     half = np.where((j == 0) | (j == n), 0.5, 1.0)
     to_coeff = (2.0 / n) * half[:, None] * cheb[:, : n + 1].T * half
     anti = np.zeros((n + 2, n + 1))
@@ -204,6 +204,8 @@ def _lobatto(n: int):
     anti[m - 1, m] -= 0.5 / (m - 1)
     # chained: one three-operand einsum would run as a single O(n^4) loop
     integ = np.einsum("il,lj->ij", np.einsum("ik,kl->il", cheb - (-1.0) ** k, anti), to_coeff)
+    for arr in (nodes, weights, diff, integ):
+        arr.setflags(write=False)
     return nodes, weights, diff, integ
 
 
@@ -234,34 +236,41 @@ def _per_domain(matrix, values):
 
 @dataclass(frozen=True, eq=False)
 class _NodeTable:
-    """Columns tabulated at the Chebyshev nodes of each domain in ln x."""
+    """Columns at the Chebyshev nodes of each domain in ln x, and their lookup."""
 
-    breaks: np.ndarray  # (domains + 1,) domain ends in ln x
+    breaks: tuple  # (domains + 1) domain ends in ln x, floats
     nodes: np.ndarray  # (domains, degree + 1) node positions in ln x
     weights: np.ndarray  # (degree + 1,) barycentric weights
     values: np.ndarray  # (domains, 7, degree + 1): _PSI.._MOMENT_REST, then ones
+    node_set: frozenset  # every node position, to find a point that hits one
+    ends: tuple  # grid[0] and grid[-1] as floats, the range of x that rows takes
 
-    def __call__(self, x) -> np.ndarray:
-        """Barycentric interpolation of every column at x (1-d, inside the
-        grid), phi and phi' in place of ln phi and its slope: (x.size, 6).
-        The row of ones sums to the denominator.  Each point's row is summed
-        on its own, without BLAS: the same bits in any batch or thread count."""
-        s = np.log(x)
-        domain = self.breaks[1:-1].searchsorted(s)
-        gap = s[:, None] - self.nodes.take(domain, axis=0)
-        hit = gap == 0.0
-        on_node = np.count_nonzero(hit)
-        if on_node:
-            gap[hit] = 1.0
+    def rows(self, x) -> list:
+        """Every column at each point of x (floats inside the grid), phi and
+        phi' in place of ln phi and its slope: six floats a point.  ln x and
+        exp come from math, the domain from bisect_left on the inner breaks (a
+        point on a break takes the one below), the barycentric sums from a
+        per-row einsum without BLAS over one gather (the row of ones sums to
+        the denominator), and a node's point takes its values: a row has the
+        same bits alone as in any batch, thread count or numpy SIMD target."""
+        s = [math.log(xi) for xi in x]
+        domain = [bisect_left(self.breaks, si, 1, len(self.breaks) - 1) - 1 for si in s]
+        gap = self.nodes.take(domain, axis=0)
+        np.subtract(np.array(s)[:, None], gap, out=gap)
         vals = self.values.take(domain, axis=0)
-        sums = np.einsum("ij,ikj->ik", np.divide(self.weights, gap, out=gap), vals)
-        out = sums[:, :-1] / sums[:, -1:]
+        on_node = not self.node_set.isdisjoint(s)
         if on_node:
+            hit = gap == 0.0
+            gap[hit] = 1.0
+        sums = np.einsum("ij,ikj->ik", np.divide(self.weights, gap, out=gap), vals)
+        if on_node:  # the node's own values over its row of ones
             rows, cols = np.nonzero(hit)
-            out[rows] = vals[rows, :-1, cols]
-        phi = np.exp(out[:, _PSI], out=out[:, _PHI])
-        np.multiply(phi, out[:, _PSI_T], out=out[:, _DPHI])
-        out[:, _DPHI] /= 2.0 * x
+            sums[rows] = vals[rows, :, cols]
+        out = []
+        for xi, (psi, psi_t, q, o, p, rest, den) in zip(x, sums.tolist()):
+            phi = math.exp(psi / den)
+            dphi = phi * (psi_t / den) / (2.0 * xi)
+            out.append((phi, dphi, q / den, o / den, p / den, rest / den))
         return out
 
 
@@ -290,34 +299,33 @@ class TfSolution:
     asymptote_coefficient: float
     _table: _NodeTable
 
+    def _rows(self, x) -> list:
+        """Columns _PHI.._MOMENT_REST, six floats a row, at each x >= 0 of a
+        sequence of floats: one table lookup on the grid, _off_grid off it."""
+        lo, hi = self._table.ends
+        if not x or lo <= min(x) and max(x) <= hi:
+            return self._table.rows(x)
+        on_grid = iter(self._table.rows([xi for xi in x if lo <= xi <= hi]))
+        return [next(on_grid) if lo <= xi <= hi else self._off_grid(xi) for xi in x]
+
+    def _off_grid(self, x: float) -> tuple:
+        """The row at x below the grid, from the series head (o = -phi'), or
+        above it, from the power-law decay (q = 1 - (phi - x phi'), o = -phi')."""
+        if x < self._table.ends[0]:
+            phi, dphi, q, p = _head(x, self.initial_slope)
+            first = self._table.values[0, :, 0].tolist()
+            row = phi, dphi, q, -dphi, p, first[_MOMENT] + first[_MOMENT_REST] - p
+        else:
+            phi, dphi, rest = _decay(x, self.asymptote_coefficient)
+            last = self._table.values[-1, :, -1].tolist()
+            q = 1.0 - (phi - x * dphi)
+            row = phi, dphi, q, -dphi, last[_MOMENT] + last[_MOMENT_REST] - rest, rest
+        return tuple(map(float, row))
+
     def _columns(self, x) -> np.ndarray:
-        """Columns _PHI.._MOMENT_REST at each x >= 0 of a 1-d array or a tuple
-        of floats (tested for the grid by float comparisons): (len(x), 6), by
-        the node table on the grid, the series head below it (o = -phi') and
-        the power-law decay above it (q = 1 - (phi - x phi'), o = -phi')."""
-        if type(x) is tuple and self.grid[0] <= min(x) and max(x) <= self.grid[-1]:
-            return self._table(np.array(x))
-        x = np.asarray(x)
-        below, above = x < self.grid[0], x > self.grid[-1]
-        n_below, n_above = np.count_nonzero(below), np.count_nonzero(above)
-        if not (n_below or n_above):
-            return self._table(x)
-        out = np.empty((x.size, 6))
-        on_grid = ~(below | above)
-        out[on_grid] = self._table(x[on_grid])
-        if n_below:
-            t, slope, first = x[below], self.initial_slope, self._table.values[0, :, 0]
-            dphi, (q, p) = _series_dphi(t, slope), _head_moments(t, slope)
-            p_total = first[_MOMENT] + first[_MOMENT_REST]
-            out[below] = np.stack([_series_phi(t, slope), dphi, q, -dphi, p, p_total - p], -1)
-        if n_above:
-            t, coeff, last = x[above], self.asymptote_coefficient, self._table.values[-1, :, -1]
-            phi, dphi = _asymptote_phi(t, coeff), _asymptote_dphi(t, coeff)
-            rest = _asymptote_moment(t, coeff)
-            p_total = last[_MOMENT] + last[_MOMENT_REST]
-            q = 1.0 - (phi - t * dphi)
-            out[above] = np.stack([phi, dphi, q, -dphi, p_total - rest, rest], axis=-1)
-        return out
+        """_rows of a 1-d array as an (x.size, 6) array, the form the profile
+        functions, density and mean_field compute with (one point for a float)."""
+        return np.array(self._rows(x.tolist())).reshape(-1, 6)
 
     def phi_at(self, x) -> np.ndarray:
         """Profile phi(x) for any x > 0 (scalar or array)."""
@@ -369,20 +377,20 @@ def _collocation_solve(t_nodes, diff):
     """
     domains, size = t_nodes.shape
     n = size - 1
-    x = np.exp(2.0 * t_nodes)
+    x = _libm(math.exp, 2.0 * t_nodes)
     v0 = math.exp(t_nodes[0, 0])
     x_end = float(x[-1, -1])
     robin = 1.0 - (2.0 / 3.0) * v0**3
-    source = 4.0 * np.exp(3.0 * t_nodes)
+    source = 4.0 * _libm(math.exp, 3.0 * t_nodes)
     diff2 = np.einsum("kij,kjl->kil", diff, diff)
     far_decay = x_end ** (-DECAY_SIGMA)
     k = np.arange(domains - 1)
 
-    psi = _sommerfeld_psi(x)
+    psi = _libm(_sommerfeld_psi, x)
     tau = 13.27 * far_decay
     for _ in range(_NEWTON_MAX_STEPS):
         psi_t = _per_domain(diff, psi)
-        src = source * np.exp(0.5 * psi)
+        src = source * _libm(math.exp, 0.5 * psi)
 
         # collocation rows at the interior nodes of each domain
         inner = _per_domain(diff2, psi) - 2.0 * psi_t + psi_t * psi_t - src
@@ -455,9 +463,9 @@ def solve_tf(tol: float = 1e-8) -> TfSolution:
     t[:, 0], t[:, -1] = breaks[:-1], breaks[1:]
     psi, psi_t, coeff_f = _collocation_solve(t, diff / half_width[:, None, None])
 
-    v = np.exp(t)
+    v = _libm(math.exp, t)
     x = v * v
-    phi = np.exp(psi)
+    phi = _libm(math.exp, psi)
     v0, x_end = float(v[0, 0]), float(x[-1, -1])
     tau_end = coeff_f * x_end ** (-DECAY_SIGMA)
 
@@ -469,9 +477,10 @@ def solve_tf(tol: float = 1e-8) -> TfSolution:
 
     # integrands in t (dx = 2 v^2 dt): I_A of phi^{3/2} x^{-1/2}, charge q of
     # phi^{3/2} sqrt(x), I_K of phi^{5/2} x^{-1/2}
-    d_attr = 2.0 * v * phi**1.5
+    d_attr = 2.0 * v * np.float_power(phi, 1.5)
     d_charge = d_attr * x
-    tail_a = -float(_asymptote_dphi(x_end, coeff_f))
+    _, dphi_end, rest_end = _decay(x_end, coeff_f)
+    tail_a = -float(dphi_end)
     tail_k = (144.0 * (1.0 - tau_end)) ** 2.5 / (7.0 * x_end**7)
 
     # o(x) and the rest of p, int_x^inf t dq, from infinity, summed across
@@ -481,7 +490,7 @@ def solve_tf(tol: float = 1e-8) -> TfSolution:
         return part + np.concatenate((np.cumsum(part[:0:-1, 0])[::-1], [0.0]))[:, None] + tail
 
     o_nodes = from_infinity(d_attr, tail_a)
-    p_rest = from_infinity(d_charge * x, _asymptote_moment(x_end, coeff_f))
+    p_rest = from_infinity(d_charge * x, rest_end)
 
     # phi'(x0) = -o(x0): the ODE integrated from x0 out, with the series
     # phi' = s + 2 sqrt(x) + s x^{3/2} + x^2 below it
@@ -493,7 +502,7 @@ def solve_tf(tol: float = 1e-8) -> TfSolution:
         part = cumulative(f)
         return part + np.concatenate(([0.0], np.cumsum(part[:-1, -1])))[:, None] + head
 
-    q_head, p_head = _head_moments(v0 * v0, slope)
+    q_head, p_head = _head(v0 * v0, slope)[2:]
     q_nodes = from_origin(d_charge, q_head)
     p_nodes = from_origin(d_charge * x, p_head)
 
@@ -517,8 +526,9 @@ def solve_tf(tol: float = 1e-8) -> TfSolution:
     grid, phi_arr = x[keep], phi[keep]
     dphi_arr = (phi * psi_t / (2.0 * x))[keep]
     values = np.stack([psi, psi_t, q_nodes, o_nodes, p_nodes, p_rest, np.ones_like(psi)], axis=1)
-    table = _NodeTable(2.0 * breaks, 2.0 * t, weights, values)
-    for arr in (grid, phi_arr, dphi_arr, table.breaks, table.nodes, weights, values):
+    table = _NodeTable(tuple((2.0 * breaks).tolist()), 2.0 * t, weights, values,
+                       frozenset((2.0 * t).ravel().tolist()), (float(grid[0]), float(grid[-1])))
+    for arr in (grid, phi_arr, dphi_arr, table.nodes, values):
         arr.setflags(write=False)
 
     return TfSolution(
@@ -580,7 +590,7 @@ class RadialDensity:
         def rho(r):
             w = self.Z ** (1.0 / 3.0) * r
             phi = self._sol._columns(w / TF_LENGTH_B)[:, _PHI]
-            return self.Z**2 * ((2.0 * phi / w) ** 1.5 / (3.0 * math.pi**2))
+            return self.Z**2 * (np.float_power(2.0 * phi / w, 1.5) / (3.0 * math.pi**2))
 
         return _elementwise(r, "density", "r", rho, Z=self.Z)
 
@@ -608,12 +618,11 @@ def mean_field(Z: float, sol: TfSolution, r) -> float | np.ndarray:
 
 
 def _ball_rows(sol: TfSolution, x: tuple) -> list:
-    """(q, 1 - q, o, p, p's rest, -o', mean_field's o) at each point of x (TF
-    units) from one lookup; 1 - q = phi - x phi' and o = -phi' stay accurate far out."""
-    cols = sol._columns(x)
+    """(q, 1 - q, o, p, p's rest, -o', mean_field's o) at each point of x (TF units)
+    from one lookup's rows; 1 - q = phi - x phi' and o = -phi' stay accurate far out."""
     return [(q, phi - xi * dphi, -dphi, p, rest,
              phi**1.5 / math.sqrt(xi) if xi > 0.0 else math.inf, o)
-            for xi, (phi, dphi, q, o, p, rest) in zip(x, cols.tolist())]
+            for xi, (phi, dphi, q, o, p, rest) in zip(x, sol._rows(x))]
 
 
 def _window_gauss(sol: TfSolution, d: float, radius: float):
@@ -623,7 +632,7 @@ def _window_gauss(sol: TfSolution, d: float, radius: float):
     m = max(d, a)
     w = np.concatenate((a + (m - a) * _GAUSS_X, m + (b - m) * _GAUSS_X))
     weights = np.concatenate(((m - a) * _GAUSS_W, (b - m) * _GAUSS_W))
-    return w, weights * sol._columns(w)[:, _PHI] ** 1.5 * np.sqrt(w)
+    return w, weights * np.float_power(sol._columns(w)[:, _PHI], 1.5) * np.sqrt(w)
 
 
 def _between(lo, hi, k: int) -> tuple[float, float]:

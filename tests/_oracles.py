@@ -35,8 +35,7 @@ from relscott.thomas_fermi import (
     PROFILE_X0,
     PROFILE_X_END,
     TF_LENGTH_B,
-    _asymptote_dphi,
-    _asymptote_phi,
+    _decay,
 )
 
 
@@ -165,11 +164,11 @@ def solve_tf_bvp(tol: float) -> tuple[float, float]:
         return np.vstack([y[1], y[1] / v - y[1] * y[1] + 4.0 * v * np.exp(0.5 * y[0])])
 
     def bc(ya, yb, p):
-        phi_end = _asymptote_phi(x_end, p[0])
+        phi_end, dphi_end = _decay(x_end, p[0])[:2]
         return np.array([
             math.exp(ya[0]) * (1.0 - 0.5 * v0 * ya[1]) - (1.0 - (2.0 / 3.0) * v0**3),
             yb[0] - np.log(phi_end),
-            0.5 * v_far * yb[1] - x_end * _asymptote_dphi(x_end, p[0]) / phi_end,
+            0.5 * v_far * yb[1] - x_end * dphi_end / phi_end,
         ])
 
     v_mesh = np.geomspace(v0, v_far, 6001)

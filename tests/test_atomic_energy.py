@@ -1,7 +1,10 @@
 import math
 import re
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relscott import (
     SCHWINGER_COEFFICIENT,
@@ -12,8 +15,11 @@ from relscott import (
     ingest_energy_table,
     ingest_reference_table,
     predict_energy,
+    shift,
     tf_energy,
 )
+
+from _support import EDGE_FLOATS
 
 ALPHA = PhysicalConstants().alpha
 
@@ -32,6 +38,32 @@ def test_record_validation():
         NistRecord(0, -1.0)
     with pytest.raises(ValueError):
         NistRecord(2, 1.0)
+
+
+@pytest.mark.parametrize("z, e_total, message", [
+    (1, -math.inf, "^e_total must be finite and negative, got -inf$"),
+    (1, math.nan, "^e_total must be finite and negative, got nan$"),
+    (True, -0.5, "^Z must be an integer >= 1, got True$"),
+    (False, -0.5, "^Z must be an integer >= 1, got False$"),
+])
+def test_record_rejects_infinite_energy_and_bool_z(z, e_total, message, tf_solution):
+    # -inf used to reach comparison_table and come out as empirical_q = -inf
+    with pytest.raises(ValueError, match=message):
+        comparison_table([NistRecord(z, e_total)], None, PhysicalConstants(), tf_solution)
+
+
+@pytest.mark.parametrize("row, cause", [
+    ("1,-inf", "e_total must be finite and negative, got -inf"),
+    ("1,inf", "e_total must be finite and negative, got inf"),
+    ("1,nan", "e_total must be finite and negative, got nan"),
+    ("0,-1.0", "Z must be an integer >= 1, got 0"),
+    ("1,0.5", "e_total must be finite and negative, got 0.5"),
+])
+def test_ingest_rejects_what_the_record_rejects_and_names_the_line(row, cause):
+    # the table reader checks a row by building its NistRecord
+    message = "^" + re.escape(f"line 3: bad row '{row}': {cause}") + "$"
+    with pytest.raises(ValueError, match=message):
+        ingest_energy_table(f"Z,E_total_Ha\n2,-2.9\n{row}\n")
 
 
 def test_ingest_single_row():
@@ -181,3 +213,48 @@ def test_comparison_pure_function(tf_solution):
     b = comparison_table(recs, None, PhysicalConstants(), tf_solution, 1e-8)
     assert a == b  # bit-identical dataclasses
 
+
+
+def _record_call(tf, Z, e_total, alpha, tol):
+    """comparison_table on one record, the record and constants built inside."""
+    return comparison_table([NistRecord(Z, e_total)], None, PhysicalConstants(alpha), tf, tol)
+
+
+# each public energy call: its drawn argument names and the call
+_ENERGY_CALLS = {
+    "shift": (("gamma", "tol"), lambda tf, gamma, tol: shift(gamma, tol)),
+    "predict_energy": (("Z", "gamma", "tol"),
+                       lambda tf, Z, gamma, tol: predict_energy(Z, gamma, tf, tol)),
+    "tf_energy": (("Z",), lambda tf, Z: tf_energy(Z, tf)),
+    "comparison_table": (("Z", "e_total", "alpha", "tol"), _record_call),
+}
+_INTEGER_Z = st.integers(-3, 200) | st.sampled_from([10**200, 10**400])
+
+
+def _finite_floats(value) -> bool:
+    """Every float in a result (a float, ShiftResult or comparison rows) is finite."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, list):
+        return all(_finite_floats(row) for row in value)
+    return all(_finite_floats(v) for v in vars(value).values() if isinstance(v, float))
+
+
+@pytest.mark.parametrize("name", list(_ENERGY_CALLS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_energy_calls_give_a_finite_value_or_name_the_argument(tf_solution, name, data):
+    # comparison_table's Z is an int (NistRecord takes no other); None is
+    # shift's default tol
+    names, call = _ENERGY_CALLS[name]
+    args = {arg: data.draw(_INTEGER_Z if (arg, name) == ("Z", "comparison_table")
+                           else EDGE_FLOATS | st.none() if arg == "tol" else EDGE_FLOATS, arg)
+            for arg in names}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = call(tf_solution, **args)
+        except ValueError as exc:
+            assert any(re.search(rf"\b{arg}\b", str(exc)) for arg in names), str(exc)
+            return
+    assert _finite_floats(value), (args, value)

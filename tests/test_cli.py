@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from importlib.resources import files
@@ -9,6 +8,8 @@ import pytest
 
 from relscott import NistRecord, PhysicalConstants, comparison_table
 from relscott.cli import main
+
+from _support import child_stdout
 
 SAMPLE = str(files("relscott").joinpath("data/sample_nist.csv"))
 GOLDEN = Path(__file__).parent / "data"
@@ -135,22 +136,61 @@ relscott.exchange_hole_radius(8.0, sol, 0.5)
 relscott.screening_potential(8.0, 137.0, sol, 68.5)
 print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
 """
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout == "[]\n[]\n"
+    assert child_stdout(code) == "[]\n[]\n"
+
+
+# `tf --json` at both tol ends and `compare --json` on the sample table
+_JSON_COMMANDS = f"""
+from relscott.cli import main
+for argv in (["tf"], ["tf", "--tol", "1e-10"], ["compare", "--nist", {SAMPLE!r}]):
+    assert main([*argv, "--json"]) == 0
+"""
+# the four field functions at a few (Z, r), and s(gamma) with its tail on a
+# small (gamma, tol) grid
+_FIELDS_AND_SHIFT = """
+import relscott
+sol = relscott.solve_tf()
+for z, r in ((1.0, 0.02), (8.0, 0.5), (47.0, 2.0), (92.0, 10.0), (3.0, 3000.0)):
+    print(repr(relscott.density(z, sol)(r)), repr(relscott.mean_field(z, sol, r)),
+          repr(relscott.exchange_hole_radius(z, sol, r)),
+          repr(relscott.screening_potential(z, 137.0, sol, 137.0 * r)))
+for gamma in (0.0, 0.05, 0.3, 0.6, 0.9, 0.99):
+    for tol in (1e-6, 1e-8, 1e-10):
+        result = relscott.shift(gamma, tol)
+        print(repr(result.value), repr(result.tail_estimate))
+"""
+
+
+def _dispatch_targets_above_baseline() -> str:
+    """The SIMD targets numpy dispatches to on this host above its baseline."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return " ".join(target for target in umath.__cpu_dispatch__
+                    if umath.__cpu_features__.get(target) and target not in umath.__cpu_baseline__)
 
 
 def test_tf_output_does_not_depend_on_blas_threads():
-    # the child processes alone get the thread settings
-    outputs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-        outputs.append([
-            run_cli(*argv, "--json", env=env).stdout
-            for argv in (["tf"], ["tf", "--tol", "1e-10"], ["compare", "--nist", SAMPLE])
-        ])
-    assert all(outputs[0])
+    outputs = [child_stdout(_JSON_COMMANDS, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+               for threads in ("1", "2")]
+    assert outputs[0]
     assert outputs[0] == outputs[1]
+
+
+def test_outputs_do_not_depend_on_numpy_simd_dispatch():
+    # numpy's exp, log and power loops round differently on each SIMD target
+    # (AVX-512 against AVX2, say), so the Thomas-Fermi path takes these from
+    # the C library.  A child that may use no target above numpy's baseline
+    # prints the same bytes.  This covers numpy's dispatch only: both children
+    # run the same C library, whose own CPU variants this cannot reach.
+    targets = _dispatch_targets_above_baseline()
+    if not targets:
+        pytest.skip("numpy dispatches to no SIMD target above its baseline on this host")
+    code = _JSON_COMMANDS + _FIELDS_AND_SHIFT
+    dispatched, baseline = child_stdout(code), child_stdout(code, NPY_DISABLE_CPU_FEATURES=targets)
+    assert dispatched
+    assert dispatched == baseline
 
 
 def test_tf_rejects_out_of_range_tol():
