@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -131,19 +130,17 @@ def _elementwise(values, name: str, arg: str, f, **fixed):
 
 
 def _libm(f, a):
-    """f (a float function on math, the C library) at each element of a float
-    or small array: numpy's exp, log, log1p and cos round per SIMD target."""
-    if isinstance(a, float):
-        return f(a)
+    """f (a float function on math, the C library) at each element of a small
+    array: numpy's exp, log, log1p and cos round per SIMD target."""
     return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
 def _head(x: float, slope: float):
     """phi, phi', q(x) and p(x) = int_0^x t dq below the grid, from the series
     phi = 1 + s x + (4/3) x^{3/2} + (2/5) s x^{5/2} and phi^{3/2} = 1 + (3/2) s x."""
-    x15, x25 = np.float_power(x, 1.5), np.float_power(x, 2.5)
+    x15, x25 = x**1.5, x**2.5
     return (1.0 + slope * x + (4.0 / 3.0) * x15 + 0.4 * slope * x25,
-            slope + 2.0 * np.sqrt(x) + slope * x15 + x * x,
+            slope + 2.0 * math.sqrt(x) + slope * x15 + x * x,
             ((2.0 / 3.0) + 0.6 * slope * x) * x15, (0.4 + (3.0 / 7.0) * slope * x) * x25)
 
 
@@ -159,10 +156,11 @@ def _decay_factor(tau):
 
 def _decay(x: float, coeff: float):
     """phi, phi' and int_x^inf t^{3/2} phi^{3/2} dt (u^{3/2} to order tau^2)
-    of the power-law decay phi ~ (144/x^3) u above the grid."""
-    tau = coeff * np.float_power(x, -DECAY_SIGMA)
+    of the power-law decay phi ~ (144/x^3) u above the grid (negative powers,
+    which underflow quietly where a positive one would overflow)."""
+    tau = coeff * x**-DECAY_SIGMA
     u, du = _decay_factor(tau)[:2]
-    return (144.0 / np.float_power(x, 3.0) * u, 144.0 / np.float_power(x, 4.0) * (-3.0 * u + du),
+    return (144.0 * x**-3.0 * u, 144.0 * x**-4.0 * (-3.0 * u + du),
             1728.0 / (x * x) * (0.5 - 1.5 * tau / (2.0 + DECAY_SIGMA) + (1.5 * _ASYMP_A2 + 0.375)
                                 * tau * tau / (2.0 + 2.0 * DECAY_SIGMA)))
 
@@ -172,18 +170,21 @@ def _sommerfeld_psi(x: float) -> float:
     return -(3.0 / DECAY_SIGMA) * math.log1p((x**3 / 144.0) ** (DECAY_SIGMA / 3.0))
 
 
-@cache
 def _lobatto(n: int):
     """Chebyshev-Lobatto nodes of degree n on [-1, 1], ascending.
 
     Returns the nodes, their barycentric weights, the differentiation matrix
     and the cumulative-integration matrix (node values of f to node values of
     int_{-1}^{s} f, exact for polynomials of degree n; its last row holds the
-    Clenshaw-Curtis weights), read-only: every solve shares one set.
+    Clenshaw-Curtis weights).
     """
     j = np.arange(n + 1)
-    theta = np.pi - np.pi * j / n
-    nodes = _libm(math.cos, theta)
+    k = np.arange(n + 2)
+    # T_k(cos(pi m/n)) = cos(pi m k/n), so the 2n values cos(pi i/n) hold
+    # every entry, at i = m k mod 2n; node j is m = n - j
+    cos = np.array([math.cos(math.pi * i / n) for i in range(2 * n)])
+    cheb = cos[np.outer(n - j, k) % (2 * n)]  # T_k(nodes), k = 0..n+1
+    nodes = cheb[:, 1]
     weights = (-1.0) ** j
     weights[[0, -1]] = 0.5 * weights[[0, -1]]
     gap = nodes[:, None] - nodes
@@ -192,8 +193,6 @@ def _lobatto(n: int):
     np.fill_diagonal(diff, 0.0)
     np.fill_diagonal(diff, -diff.sum(axis=1))
     # values -> Chebyshev coefficients -> antiderivative coefficients -> values
-    k = np.arange(n + 2)
-    cheb = _libm(math.cos, np.outer(theta, k))  # T_k(nodes), k = 0..n+1
     half = np.where((j == 0) | (j == n), 0.5, 1.0)
     to_coeff = (2.0 / n) * half[:, None] * cheb[:, : n + 1].T * half
     anti = np.zeros((n + 2, n + 1))
@@ -204,8 +203,6 @@ def _lobatto(n: int):
     anti[m - 1, m] -= 0.5 / (m - 1)
     # chained: one three-operand einsum would run as a single O(n^4) loop
     integ = np.einsum("il,lj->ij", np.einsum("ik,kl->il", cheb - (-1.0) ** k, anti), to_coeff)
-    for arr in (nodes, weights, diff, integ):
-        arr.setflags(write=False)
     return nodes, weights, diff, integ
 
 
@@ -320,7 +317,7 @@ class TfSolution:
             last = self._table.values[-1, :, -1].tolist()
             q = 1.0 - (phi - x * dphi)
             row = phi, dphi, q, -dphi, last[_MOMENT] + last[_MOMENT_REST] - rest, rest
-        return tuple(map(float, row))
+        return row
 
     def _columns(self, x) -> np.ndarray:
         """_rows of a 1-d array as an (x.size, 6) array, the form the profile

@@ -46,10 +46,11 @@ def test_record_validation():
     (True, -0.5, "^Z must be an integer >= 1, got True$"),
     (False, -0.5, "^Z must be an integer >= 1, got False$"),
 ])
-def test_record_rejects_infinite_energy_and_bool_z(z, e_total, message, tf_solution):
-    # -inf used to reach comparison_table and come out as empirical_q = -inf
+def test_record_rejects_infinite_energy_and_bool_z(z, e_total, message):
+    # a record with e_total = -inf used to pass into comparison_table and come
+    # out as empirical_q = -inf
     with pytest.raises(ValueError, match=message):
-        comparison_table([NistRecord(z, e_total)], None, PhysicalConstants(), tf_solution)
+        NistRecord(z, e_total)
 
 
 @pytest.mark.parametrize("row, cause", [

@@ -50,9 +50,9 @@ def test_energy_value(tf_solution):
 def test_initial_slope(tf_solution):
     assert tf_solution.initial_slope == pytest.approx(-1.5881, abs=1e-3)
     # with phi's x^3/3 term in the head phi' below x0, and o(x_end) = -phi'(x_end)
-    # of the decay law, phi'(0) = -o(0) lands within about 7e-14 of Baker's value
-    # (the solve's rounding moves it within [-2.7e-14, 9.0e-14] as the start and
-    # the exp/log rounding vary)
+    # of the decay law, phi'(0) = -o(0) lands within about 2e-14 of Baker's value
+    # (the solve's rounding moves it within [-2.8e-14, 6.7e-14] as the start
+    # varies)
     assert abs(tf_solution.initial_slope - BAKER_SLOPE) <= 1e-13
 
 
