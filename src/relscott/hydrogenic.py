@@ -24,7 +24,7 @@ from typing import TypeAlias
 
 import numpy as np
 
-from .quantum_numbers import LevelIndex
+from .quantum_numbers import PRINCIPAL_MAX, LevelIndex
 
 # Dimensionless energies below; Hartree-valued quantities elsewhere in the
 # package use this alias to mark the unit in signatures.
@@ -134,10 +134,10 @@ def dirac_level(g: Coupling | float, idx: LevelIndex) -> float:
 def schroedinger_level(g: Coupling | float, n: int, l: int) -> float:
     """Nonrelativistic hydrogenic energy -gamma^2 / (2 (n+l)^2)."""
     gamma = _gamma_of(g)
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if not isinstance(l, int) or l < 0:
         raise ValueError(f"l must be a nonnegative integer, got {l!r}")
+    if not isinstance(n, int) or not 1 <= n <= PRINCIPAL_MAX - l:
+        raise ValueError(f"n must be an integer >= 1 with n + l <= 2**53, got n={n!r}, l={l}")
     n_pr = n + l
     return -gamma * gamma / (2.0 * n_pr * n_pr)
 

@@ -10,8 +10,12 @@ the familiar block dimension 2(2l + 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
+
+# the largest principal number n + l that a float holds exactly
+PRINCIPAL_MAX = 2**53
 
 
 @dataclass(frozen=True)
@@ -24,12 +28,11 @@ class ChannelIndex:
     def __post_init__(self) -> None:
         if not isinstance(self.l, int) or self.l < 0:
             raise ValueError(f"l must be a nonnegative integer, got {self.l!r}")
-        two_j = round(2.0 * self.j)
-        if abs(2.0 * self.j - two_j) > 1e-12 or two_j % 2 == 0:
+        if not (math.isfinite(self.j) and 2.0 * self.j % 2.0 == 1.0):
             raise ValueError(f"j must be a half-integer (1/2, 3/2, ...), got {self.j!r}")
         if self.j < 0.5:
             raise ValueError(f"j must be >= 1/2, got {self.j!r}")
-        if abs(self.j - self.l) != 0.5:
+        if abs(int(2.0 * self.j) - 2 * self.l) != 1:  # in ints: l may exceed any float
             raise ValueError(f"j must equal l - 1/2 or l + 1/2, got l={self.l}, j={self.j}")
 
     @property
@@ -46,8 +49,9 @@ class LevelIndex:
     channel: ChannelIndex
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        if not isinstance(self.n, int) or not 1 <= self.n <= PRINCIPAL_MAX - self.channel.l:
+            raise ValueError(f"n must be an integer >= 1 with n + l <= 2**53, "
+                             f"got n={self.n!r}, l={self.channel.l}")
 
     @property
     def principal(self) -> int:

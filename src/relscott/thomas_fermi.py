@@ -101,14 +101,13 @@ def _require_positive(**values: float) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-@np.errstate(all="ignore")
 def _finite(name: str, compute, **args):
-    """compute() with numpy's float warnings off; a result that is not finite,
-    or an ArithmeticError on the way, is a ValueError naming args."""
+    """compute(), a float or a list of floats; a result that is not finite, or
+    an ArithmeticError on the way, is a ValueError naming args."""
     cause = None
     try:
         out = compute()
-        if math.isfinite(out) if isinstance(out, float) else np.isfinite(out).all():
+        if all(map(math.isfinite, out)) if isinstance(out, list) else math.isfinite(out):
             return out
     except ArithmeticError as exc:
         cause = exc
@@ -117,16 +116,15 @@ def _finite(name: str, compute, **args):
 
 
 def _elementwise(values, name: str, arg: str, f, **fixed):
-    """_finite of f over the flattened values of arg, which must be positive
-    and finite: a float for a scalar, else an array of the input's shape.  A
-    valid float (Python or np.float64) goes to f as a one-element array."""
-    if isinstance(values, float) and 0.0 < values < math.inf:
-        return _finite(name, lambda: float(f(np.array([values]))[0]), **fixed, **{arg: values})
+    """_finite of f, a list of floats to a list of floats, over the flattened
+    values of arg, which must be positive and finite: a float for a scalar,
+    else an array of the input's shape."""
     x = np.asarray(values, dtype=float)
-    if not np.all((x > 0.0) & (x < math.inf)):
+    flat = x.ravel().tolist()
+    if not all(0.0 < v < math.inf for v in flat):
         raise ValueError(f"{name} requires finite {arg} > 0")
-    out = _finite(name, lambda: f(x.reshape(-1)), **fixed, **{arg: values})
-    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+    out = _finite(name, lambda: f(flat), **fixed, **{arg: values})
+    return out[0] if x.ndim == 0 else np.array(out).reshape(x.shape)
 
 
 def _libm(f, a):
@@ -275,7 +273,7 @@ class _NodeTable:
 class TfSolution:
     """Dimensionless neutral-atom profile with derived energy data.
 
-    grid/phi/dphi hold phi(x) and phi'(x) at the collocation nodes: the
+    grid/phi hold phi(x) at the collocation nodes: the
     Chebyshev-Lobatto points of each domain in t = ln sqrt(x), each domain
     end once, from PROFILE_X0 out to PROFILE_X_END, where phi sits below
     10*TOL_MIN.  A node table adds q(x), o(x), int_0^x t dq and
@@ -288,7 +286,6 @@ class TfSolution:
     initial_slope: float
     grid: np.ndarray
     phi: np.ndarray
-    dphi: np.ndarray
     e_tf_1: float
     kinetic_1: float
     attraction_1: float
@@ -319,27 +316,25 @@ class TfSolution:
             row = phi, dphi, q, -dphi, last[_MOMENT] + last[_MOMENT_REST] - rest, rest
         return row
 
-    def _columns(self, x) -> np.ndarray:
-        """_rows of a 1-d array as an (x.size, 6) array, the form the profile
-        functions, density and mean_field compute with (one point for a float)."""
-        return np.array(self._rows(x.tolist())).reshape(-1, 6)
+    def _column(self, x, name: str, column: int):
+        """One column of _rows at each x > 0 (scalar or array), as _elementwise."""
+        return _elementwise(x, name, "x", lambda t: [row[column] for row in self._rows(t)])
 
     def phi_at(self, x) -> np.ndarray:
         """Profile phi(x) for any x > 0 (scalar or array)."""
-        return _elementwise(x, "phi_at", "x", lambda t: self._columns(t)[:, _PHI])
+        return self._column(x, "phi_at", _PHI)
 
     def dphi_at(self, x) -> np.ndarray:
         """Profile derivative phi'(x) for any x > 0."""
-        return _elementwise(x, "dphi_at", "x", lambda t: self._columns(t)[:, _DPHI])
+        return self._column(x, "dphi_at", _DPHI)
 
     def enclosed_profile_charge(self, x) -> np.ndarray:
         """q(x) = int_0^x phi^{3/2} sqrt(t) dt; q(inf) = 1 (charge fraction)."""
-        return _elementwise(x, "enclosed_profile_charge", "x",
-                            lambda t: self._columns(t)[:, _CHARGE])
+        return self._column(x, "enclosed_profile_charge", _CHARGE)
 
     def outer_profile_integral(self, x) -> np.ndarray:
         """o(x) = int_x^inf phi^{3/2} t^{-1/2} dt = -phi'(x) for the exact profile."""
-        return _elementwise(x, "outer_profile_integral", "x", lambda t: self._columns(t)[:, _OUTER])
+        return self._column(x, "outer_profile_integral", _OUTER)
 
     def export_profile_csv(self, path) -> None:
         """Write the x,phi table (12 significant digits)."""
@@ -521,18 +516,16 @@ def solve_tf(tol: float = 1e-8) -> TfSolution:
     keep = np.ones(t.shape, dtype=bool)
     keep[1:, 0] = False
     grid, phi_arr = x[keep], phi[keep]
-    dphi_arr = (phi * psi_t / (2.0 * x))[keep]
     values = np.stack([psi, psi_t, q_nodes, o_nodes, p_nodes, p_rest, np.ones_like(psi)], axis=1)
     table = _NodeTable(tuple((2.0 * breaks).tolist()), 2.0 * t, weights, values,
                        frozenset((2.0 * t).ravel().tolist()), (float(grid[0]), float(grid[-1])))
-    for arr in (grid, phi_arr, dphi_arr, table.nodes, values):
+    for arr in (grid, phi_arr, table.nodes, values):
         arr.setflags(write=False)
 
     return TfSolution(
         initial_slope=slope,
         grid=grid,
         phi=phi_arr,
-        dphi=dphi_arr,
         e_tf_1=float(e_tf_1),
         kinetic_1=float(kinetic),
         attraction_1=float(attraction),
@@ -585,9 +578,10 @@ class RadialDensity:
 
     def __call__(self, r) -> np.ndarray:
         def rho(r):
-            w = self.Z ** (1.0 / 3.0) * r
-            phi = self._sol._columns(w / TF_LENGTH_B)[:, _PHI]
-            return self.Z**2 * (np.float_power(2.0 * phi / w, 1.5) / (3.0 * math.pi**2))
+            scale, z2 = self.Z ** (1.0 / 3.0), self.Z**2
+            w = [scale * ri for ri in r]
+            return [z2 * ((2.0 * row[_PHI] / wi) ** 1.5 / (3.0 * math.pi**2))
+                    for wi, row in zip(w, self._sol._rows([wi / TF_LENGTH_B for wi in w]))]
 
         return _elementwise(r, "density", "r", rho, Z=self.Z)
 
@@ -607,9 +601,10 @@ def mean_field(Z: float, sol: TfSolution, r) -> float | np.ndarray:
     _require_positive(Z=Z)
 
     def potential(r):
-        x = Z ** (1.0 / 3.0) * r / TF_LENGTH_B
-        cols = sol._columns(x)
-        return Z ** (4.0 / 3.0) * ((cols[:, _CHARGE] / x + cols[:, _OUTER]) / TF_LENGTH_B)
+        scale, z43 = float(Z) ** (1.0 / 3.0), float(Z) ** (4.0 / 3.0)  # floats for any Z
+        x = [scale * ri / TF_LENGTH_B for ri in r]
+        return [z43 * ((row[_CHARGE] / xi + row[_OUTER]) / TF_LENGTH_B)
+                for xi, row in zip(x, sol._rows(x))]
 
     return _elementwise(r, "mean_field", "r", potential, Z=Z)
 
@@ -629,7 +624,8 @@ def _window_gauss(sol: TfSolution, d: float, radius: float):
     m = max(d, a)
     w = np.concatenate((a + (m - a) * _GAUSS_X, m + (b - m) * _GAUSS_X))
     weights = np.concatenate(((m - a) * _GAUSS_W, (b - m) * _GAUSS_W))
-    return w, weights * np.float_power(sol._columns(w)[:, _PHI], 1.5) * np.sqrt(w)
+    phi = np.array([row[_PHI] for row in sol._rows(w.tolist())])
+    return w, weights * np.float_power(phi, 1.5) * np.sqrt(w)
 
 
 def _between(lo, hi, k: int) -> tuple[float, float]:
@@ -757,6 +753,7 @@ def exchange_hole_radius(Z: float, sol: TfSolution, r: float) -> float:
     _require_positive(Z=Z, r=r)
     scale = Z ** (1.0 / 3.0)
 
+    @np.errstate(all="ignore")  # the Gauss windows, and Z's powers for an np.float64 Z
     def radius():
         return _hole_radius(sol, Z, r * scale / TF_LENGTH_B)[0] * TF_LENGTH_B / scale
 
@@ -776,6 +773,7 @@ def screening_potential(Z: float, c: float, sol: TfSolution, x: float) -> float:
     """
     _require_positive(Z=Z, c=c, x=x)
 
+    @np.errstate(all="ignore")  # as in exchange_hole_radius
     def chi():
         d = x / c * Z ** (1.0 / 3.0) / TF_LENGTH_B
         radius, rows, centre = _hole_radius(sol, Z, d)

@@ -203,7 +203,7 @@ def test_tf_rejects_out_of_range_tol():
 @pytest.mark.parametrize("command", [["energy", "--Z", "80"], ["compare", "--nist", SAMPLE]])
 def test_tol_error_names_the_shift_range(command, tol, monkeypatch, capsys):
     # --tol goes to shift, so both ends name shift's range, checked before the
-    # TF solve clamps tol into its own narrower one
+    # TF atom is solved
     def no_solve(*args, **kwargs):
         raise AssertionError("the TF atom was solved for an invalid tol")
 

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -25,6 +27,7 @@ from relscott.hydrogenic import (
 )
 
 from _oracles import coulomb_expectation_mp, dirac_lambda_mp, level_difference_mp
+from _support import EDGE_FLOATS
 
 # Frozen 50-digit oracle values (tests/_oracles.py)
 DIRAC_G09_N1_L1_J32 = -0.10697144502541242
@@ -269,3 +272,39 @@ def test_coupling_validation():
     with pytest.raises(ValueError):
         Coupling(math.nan)
     assert Coupling(0.0).gamma == 0.0
+
+
+_LEVEL_CALLS = {
+    "dirac_level": lambda g, n, l, j: dirac_level(g, lvl(n, l, j)),
+    "schroedinger_level": lambda g, n, l, j: schroedinger_level(g, n, l),
+    "level_difference": lambda g, n, l, j: level_difference(g, lvl(n, l, j)),
+    "fine_structure_term": lambda g, n, l, j: fine_structure_term(g, lvl(n, l, j)),
+    "coulomb_expectation": lambda g, n, l, j: coulomb_expectation(g, lvl(n, l, j)),
+}
+# quantum numbers in range, around 2**53 (the largest n + l a float holds
+# exactly) and past every float
+_QUANTUM_INTEGERS = st.integers(-2, 40) | st.sampled_from(
+    [2**53 - 1, 2**53, 2**53 + 1, 10**200, 10**400])
+
+
+@st.composite
+def _level_arguments(draw):
+    """gamma, n, l and j: j = l +- 1/2 (a valid channel) or any float."""
+    l = draw(_QUANTUM_INTEGERS)
+    valid_j = draw(st.sampled_from([-0.5, 0.5])) + (l if abs(l) <= 2**53 else 0)
+    j = draw(st.just(valid_j) | EDGE_FLOATS)
+    return draw(st.floats(0.0, 1.0) | EDGE_FLOATS), draw(_QUANTUM_INTEGERS), l, j
+
+
+@pytest.mark.parametrize("name", list(_LEVEL_CALLS))
+@settings(max_examples=30, deadline=None)
+@given(args=_level_arguments())
+def test_any_level_gives_a_finite_value_or_names_the_argument(name, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = _LEVEL_CALLS[name](*args)
+        except ValueError as exc:
+            assert re.search(r"\b(gamma|n|l|j)\b", str(exc)), str(exc)
+            return
+    assert math.isfinite(value), (args, value)
