@@ -10,7 +10,7 @@ closed form.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 from .hydrogenic import Coupling, EnergyHa
@@ -45,7 +45,7 @@ class NistRecord:
     def __post_init__(self) -> None:
         if isinstance(self.Z, bool) or not isinstance(self.Z, int) or self.Z < 1:
             raise ValueError(f"Z must be an integer >= 1, got {self.Z!r}")
-        if not -math.inf < self.e_total < 0.0:
+        if not -sys.float_info.max <= self.e_total < 0.0:  # an int may lie beyond floats
             raise ValueError(f"e_total must be finite and negative, got {self.e_total!r}")
 
 

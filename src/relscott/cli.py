@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from contextlib import contextmanager
 
@@ -21,7 +20,7 @@ from .atomic_energy import (
     ingest_reference_table,
 )
 from .scott_shift import check_tol, schwinger_shift, shift
-from .thomas_fermi import solve_tf, tf_energy
+from .thomas_fermi import _require_positive, solve_tf, tf_energy
 
 COMPARISON_COLUMNS = ("Z", "gamma", "empirical_q", "model_q", "schwinger_q", "reference_q")
 # curve holds every row to the end: about 85 MB and 35 s at the cap (2-vCPU Xeon)
@@ -123,8 +122,7 @@ def _cmd_tf(args: argparse.Namespace) -> int:
 
 
 def _cmd_energy(args: argparse.Namespace) -> int:
-    if not (math.isfinite(args.Z) and args.Z > 0.0):
-        raise ValueError(f"Z must be a positive finite number, got {args.Z}")
+    _require_positive(Z=args.Z)
     alpha = PhysicalConstants(args.alpha).alpha
     gamma = args.gamma if args.gamma is not None else alpha * args.Z
     if not (0.0 <= gamma < 1.0):

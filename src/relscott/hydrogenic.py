@@ -46,22 +46,26 @@ class Coupling:
     gamma: float
 
     def __post_init__(self) -> None:
-        g = float(self.gamma)
-        if not (0.0 <= g < 1.0) or not math.isfinite(g):
-            raise ValueError(f"coupling gamma must satisfy 0 <= gamma < 1, got {self.gamma!r}")
-        object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "gamma", _gamma_of(self.gamma))
+
+
+def _as_float(value) -> float:
+    """float(value), or nan for an int beyond floats, which then fails every range test."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.nan
 
 
 def _gamma_of(g: Coupling | float, *, closed_top: bool = False) -> float:
-    """Extract and validate gamma; closed_top admits gamma = 1 for floats."""
+    """gamma of g as a float, the one gamma check: [0, 1), or [0, 1] with closed_top."""
     if isinstance(g, Coupling):
         return g.gamma
-    gv = float(g)
-    hi_ok = gv <= 1.0 if closed_top else gv < 1.0
-    if not (0.0 <= gv and hi_ok) or not math.isfinite(gv):
+    gamma = _as_float(g)
+    if not (0.0 <= gamma < 1.0 or closed_top and gamma == 1.0):
         top = "1]" if closed_top else "1)"
         raise ValueError(f"gamma must lie in [0, {top}, got {g!r}")
-    return gv
+    return gamma
 
 
 # ---------------------------------------------------------------------------

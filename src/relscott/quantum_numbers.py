@@ -10,7 +10,6 @@ the familiar block dimension 2(2l + 1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -28,7 +27,7 @@ class ChannelIndex:
     def __post_init__(self) -> None:
         if not isinstance(self.l, int) or self.l < 0:
             raise ValueError(f"l must be a nonnegative integer, got {self.l!r}")
-        if not (math.isfinite(self.j) and 2.0 * self.j % 2.0 == 1.0):
+        if not (abs(self.j) < PRINCIPAL_MAX and 2.0 * self.j % 2.0 == 1.0):
             raise ValueError(f"j must be a half-integer (1/2, 3/2, ...), got {self.j!r}")
         if self.j < 0.5:
             raise ValueError(f"j must be >= 1/2, got {self.j!r}")

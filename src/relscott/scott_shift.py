@@ -39,6 +39,7 @@ import numpy as np
 
 from .hydrogenic import (
     Coupling,
+    _as_float,
     _delta,
     _gamma_of,
     difference_over_gamma2_kernel,
@@ -84,7 +85,7 @@ _IDENTITY_M_CAP = 10_000
 class ShiftResult:
     """Value of s(gamma) with truncation record and certified tail estimate."""
 
-    gamma: Coupling
+    gamma: float
     value: float
     tail_estimate: float
     l_max: int  # channels l <= l_max are summed; l > l_max by the l-tail model
@@ -100,7 +101,7 @@ class ShiftResult:
 class ScottCoefficient:
     """Scott coefficient q = 1/2 + s(gamma); q(0) = 1/2."""
 
-    gamma: Coupling
+    gamma: float
     q: float
     tail_estimate: float
 
@@ -115,10 +116,10 @@ class ZetaIdentityCheck(NamedTuple):
 
 def check_tol(tol: float | None) -> float:
     """shift's tol as a float (DEFAULT_TOL for None); ValueError outside [TOL_MIN, TOL_MAX]."""
-    tol = DEFAULT_TOL if tol is None else float(tol)
-    if not (TOL_MIN <= tol <= TOL_MAX):
+    value = DEFAULT_TOL if tol is None else _as_float(tol)
+    if not (TOL_MIN <= value <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
-    return tol
+    return value
 
 
 def _channel_arrays(l_count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -312,11 +313,10 @@ def shift(g: Coupling | float, tol: float | None = None) -> ShiftResult:
     rounding floor, still bounds the error.  Raises ValueError on domain
     violations (gamma outside [0,1), tol outside [1e-10, 1e-2]).
     """
-    coupling = g if isinstance(g, Coupling) else Coupling(float(g))
-    gamma = coupling.gamma
+    gamma = _gamma_of(g)
     tol = check_tol(tol)
     if gamma == 0.0:
-        return ShiftResult(coupling, 0.0, 0.0, 0, 0, tol, 0, 0.0, 0.0, 0.0)
+        return ShiftResult(gamma, 0.0, 0.0, 0, 0, tol, 0, 0.0, 0.0, 0.0)
 
     # the l >= L error is at most C8 zeta(8, L + 1/2) <= C8 L^-7/7 <= 0.4 tol
     c8 = _l_tail_bound_coefficient(gamma)
@@ -332,7 +332,7 @@ def shift(g: Coupling | float, tol: float | None = None) -> ShiftResult:
     value = math.fsum((direct + series).tolist())
     floor = 64.0 * sys.float_info.epsilon * (1.0 + abs(value))  # rounding
     return ShiftResult(
-        coupling, value + l_tail, series_res + l_res + floor, l_count - 1, _N_SERIES - 1, tol,
+        gamma, value + l_tail, series_res + l_res + floor, l_count - 1, _N_SERIES - 1, tol,
         order, series_res, l_res, floor,
     )
 
@@ -379,9 +379,9 @@ def zeta_double_sum_identity_check(s: float) -> ZetaIdentityCheck:
     (double_sum, tail_bound, zeta_difference); the first and last agree
     within tail_bound.
     """
-    s = float(s)
-    if not 2.0 < s < math.inf:
+    if not 2.0 < _as_float(s) < math.inf:
         raise ValueError(f"identity check requires finite s > 2, got {s}")
+    s = float(s)
     m = np.arange(2, _IDENTITY_M_CAP + 1, dtype=float)
     with np.errstate(under="ignore"):
         terms = (m - 1.0) * m ** (-s)

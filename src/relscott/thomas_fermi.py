@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hydrogenic import EnergyHa
+from .hydrogenic import EnergyHa, _as_float
 
 # dimensionless TF length unit: r = TF_LENGTH_B * Z^(-1/3) * x
 TF_LENGTH_B = 0.5 * (3.0 * math.pi / 4.0) ** (2.0 / 3.0)
@@ -119,7 +119,10 @@ def _elementwise(values, name: str, arg: str, f, **fixed):
     """_finite of f, a list of floats to a list of floats, over the flattened
     values of arg, which must be positive and finite: a float for a scalar,
     else an array of the input's shape."""
-    x = np.asarray(values, dtype=float)
+    try:
+        x = np.asarray(values, dtype=float)
+    except OverflowError:  # an int beyond floats fails the test below
+        x = np.asarray(math.nan)
     flat = x.ravel().tolist()
     if not all(0.0 < v < math.inf for v in flat):
         raise ValueError(f"{name} requires finite {arg} > 0")
@@ -444,8 +447,7 @@ def solve_tf(tol: float = 1e-8) -> TfSolution:
     (kinetic, attraction, repulsion pieces by radial quadrature), not from the
     slope shortcut.
     """
-    tol = float(tol)
-    if not (TOL_MIN <= tol <= TOL_MAX):
+    if not (TOL_MIN <= _as_float(tol) <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
 
     nodes, weights, diff, integ = _lobatto(_DEGREE)
@@ -539,15 +541,12 @@ def tf_functional_at_scale(sol: TfSolution, amplitude: float) -> float:
     """Functional value at the scaled density amplitude*rho_1 (Z = 1).
 
     The three pieces scale as amplitude^{5/3}, amplitude, amplitude^2; the
-    minimizer probe perturbs amplitude around 1.
+    minimizer probe perturbs amplitude around 1.  ValueError names a bad amplitude.
     """
-    if amplitude <= 0.0:
-        raise ValueError("amplitude must be positive")
-    return (
-        amplitude ** (5.0 / 3.0) * sol.kinetic_1
-        + amplitude * sol.attraction_1
-        + amplitude * amplitude * sol.repulsion_1
-    )
+    _require_positive(amplitude=amplitude)
+    a = _as_float(amplitude)
+    return _finite("tf_functional_at_scale", lambda: a ** (5.0 / 3.0) * sol.kinetic_1
+                   + a * sol.attraction_1 + a * a * sol.repulsion_1, amplitude=amplitude)
 
 
 def tf_energy(Z: float, sol: TfSolution) -> EnergyHa:
@@ -573,12 +572,12 @@ class RadialDensity:
 
     def __init__(self, Z: float, sol: TfSolution):
         _require_positive(Z=Z)
-        self.Z = float(Z)
+        self.Z = Z
         self._sol = sol
 
     def __call__(self, r) -> np.ndarray:
         def rho(r):
-            scale, z2 = self.Z ** (1.0 / 3.0), self.Z**2
+            scale, z2 = float(self.Z) ** (1.0 / 3.0), float(self.Z) ** 2
             w = [scale * ri for ri in r]
             return [z2 * ((2.0 * row[_PHI] / wi) ** 1.5 / (3.0 * math.pi**2))
                     for wi, row in zip(w, self._sol._rows([wi / TF_LENGTH_B for wi in w]))]
@@ -617,6 +616,7 @@ def _ball_rows(sol: TfSolution, x: tuple) -> list:
             for xi, (phi, dphi, q, o, p, rest) in zip(x, sol._rows(x))]
 
 
+@np.errstate(all="ignore")  # quiet at extreme windows: _finite names a result that is not finite
 def _window_gauss(sol: TfSolution, d: float, radius: float):
     """Gauss-Legendre nodes w on [a, m] and [m, b] (a = |R - d|, b = R + d,
     m = max(d, a)) and their weights times dq/dw, from one lookup."""
@@ -705,8 +705,11 @@ def _hole_radius(sol: TfSolution, Z: float, d: float):
         raise ArithmeticError(f"the centre d = {d} (TF units) is not a positive float")
     target = 0.5 / Z
     lo, hi, reached = 0.0, d + float(sol.grid[-1]), False
-    radius = min(hi, (3.0 * target) ** (1.0 / 3.0) * math.sqrt(d * math.exp(-_sommerfeld_psi(d))),
-                 d + (1.5 * target) ** (2.0 / 3.0))
+    try:
+        local = (3.0 * target) ** (1.0 / 3.0) * math.sqrt(d * math.exp(-_sommerfeld_psi(d)))
+    except OverflowError:  # d^3 beyond floats: start from the ball that reaches the core
+        local = math.inf
+    radius = min(hi, local, d + (1.5 * target) ** (2.0 / 3.0))
     *rows, centre = _ball_rows(sol, (abs(radius - d), radius + d, d))
     for _ in range(100):
         charge, slope, bend, rounding = _ball_charge(sol, d, radius, *rows)
@@ -751,11 +754,10 @@ def exchange_hole_radius(Z: float, sol: TfSolution, r: float) -> float:
     ValueError names Z and r.
     """
     _require_positive(Z=Z, r=r)
-    scale = Z ** (1.0 / 3.0)
 
-    @np.errstate(all="ignore")  # the Gauss windows, and Z's powers for an np.float64 Z
     def radius():
-        return _hole_radius(sol, Z, r * scale / TF_LENGTH_B)[0] * TF_LENGTH_B / scale
+        scale = float(Z) ** (1.0 / 3.0)
+        return _hole_radius(sol, float(Z), float(r) * scale / TF_LENGTH_B)[0] * TF_LENGTH_B / scale
 
     return _finite("exchange_hole_radius", radius, Z=Z, r=r)
 
@@ -773,13 +775,13 @@ def screening_potential(Z: float, c: float, sol: TfSolution, x: float) -> float:
     """
     _require_positive(Z=Z, c=c, x=x)
 
-    @np.errstate(all="ignore")  # as in exchange_hole_radius
     def chi():
-        d = x / c * Z ** (1.0 / 3.0) / TF_LENGTH_B
-        radius, rows, centre = _hole_radius(sol, Z, d)
+        z, light = float(Z), float(c)
+        d = float(x) / light * z ** (1.0 / 3.0) / TF_LENGTH_B
+        radius, rows, centre = _hole_radius(sol, z, d)
         window = rows or _ball_rows(sol, (abs(radius - d), radius + d))
-        hole = Z ** (4.0 / 3.0) * _ball_potential(sol, d, radius, *window, centre) / TF_LENGTH_B
-        full = Z ** (4.0 / 3.0) * ((centre[0] / d + centre[6]) / TF_LENGTH_B)
-        return (full - hole) / (c * c)
+        hole = z ** (4.0 / 3.0) * _ball_potential(sol, d, radius, *window, centre) / TF_LENGTH_B
+        full = z ** (4.0 / 3.0) * ((centre[0] / d + centre[6]) / TF_LENGTH_B)
+        return (full - hole) / (light * light)
 
     return _finite("screening_potential", chi, Z=Z, c=c, x=x)

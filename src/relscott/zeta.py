@@ -44,10 +44,13 @@ def hurwitz_zeta(s: float | np.ndarray, a: float | np.ndarray) -> float | np.nda
     the same bits as the scalar call (np.power may use SIMD approximations
     that differ in the last bit).  ValueError names s or a out of range,
     and s and a where the head would take more than _HEAD_MAX terms (s far
-    above a, or infinite) or floats cannot hold the sum (a^-s overflows for
-    small a, say).
+    above a, or infinite) or floats cannot hold s, a or the sum (an int beyond
+    floats, or a^-s overflowing for small a).
     """
-    order, arg = np.asarray(s, dtype=float), np.asarray(a, dtype=float)
+    try:
+        order, arg = np.asarray(s, dtype=float), np.asarray(a, dtype=float)
+    except OverflowError:  # an int beyond floats
+        raise ValueError(f"hurwitz_zeta cannot be evaluated in floats at s={s}, a={a}") from None
     for name, given, values, low in (("s", s, order, 1), ("a", a, arg, 0)):
         if not (values > low).all():
             culprit = given if values.ndim == 0 else values[~(values > low)][0]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relscott import density, hurwitz_zeta, mean_field
+from relscott import density, exchange_hole_radius, hurwitz_zeta, mean_field, screening_potential
 from relscott import scott_shift
 from relscott.hydrogenic import difference_over_gamma2_kernel, fine_structure_kernel
 from relscott.quantum_numbers import kappa_bars
@@ -208,3 +208,19 @@ def test_scalar_forms_agree(tf_solution, name):
             with pytest.raises(ValueError) as err:
                 f(form(bad))
             assert str(err.value) == message, (name, bad, form)
+
+
+@pytest.mark.parametrize("name", ["exchange_hole_radius", "screening_potential"])
+def test_hole_fields_compute_in_floats_for_every_scalar_form(tf_solution, name):
+    # Z and r as a float, an np.float64 or a 0-d array give one float with the
+    # same bits, also at r = 1e300, where d^3 is beyond floats (an np.float64
+    # used to reach a value there through numpy's quiet overflow, a float a
+    # ValueError)
+    f = {
+        "exchange_hole_radius": lambda z, r: exchange_hole_radius(z, tf_solution, r),
+        "screening_potential": lambda z, r: screening_potential(z, 137.0, tf_solution, 137.0 * r),
+    }[name]
+    for z, r in ((1.0, 0.02), (8.0, 0.5), (92.0, 10.0), (1.0, 1e300)):
+        got = [f(form(z), form(r)) for form in (float, np.float64, np.array)]
+        assert {type(v) for v in got} == {float}, (name, z, r)
+        assert len({v.hex() for v in got}) == 1 and math.isfinite(got[0]), (name, z, r)

@@ -43,6 +43,7 @@ def test_record_validation():
 @pytest.mark.parametrize("z, e_total, message", [
     (1, -math.inf, "^e_total must be finite and negative, got -inf$"),
     (1, math.nan, "^e_total must be finite and negative, got nan$"),
+    (1, -10**400, f"^e_total must be finite and negative, got {-10**400}$"),
     (True, -0.5, "^Z must be an integer >= 1, got True$"),
     (False, -0.5, "^Z must be an integer >= 1, got False$"),
 ])

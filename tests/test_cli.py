@@ -402,7 +402,7 @@ def test_energy_rejects_z_before_solving(z, gamma, monkeypatch, capsys):
     monkeypatch.setattr("relscott.cli.solve_tf", no_solve)
     assert main(["energy", f"--Z={z}", *gamma]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: Z must be a positive finite number, got {float(z)}\n"
+    assert captured.err == f"error: Z must be positive and finite, got {float(z)}\n"
     assert captured.out == ""
 
 

@@ -269,8 +269,9 @@ def test_coupling_validation():
         Coupling(1.0)
     with pytest.raises(ValueError):
         Coupling(-0.2)
-    with pytest.raises(ValueError):
-        Coupling(math.nan)
+    for gamma in (math.nan, 10**400):
+        with pytest.raises(ValueError, match=re.escape(f"gamma must lie in [0, 1), got {gamma!r}")):
+            Coupling(gamma)
     assert Coupling(0.0).gamma == 0.0
 
 

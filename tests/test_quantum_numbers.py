@@ -49,6 +49,9 @@ def test_invalid_channels_rejected():
         ChannelIndex(1, 1.0)  # integer j
     with pytest.raises(ValueError):
         ChannelIndex(-1, 0.5)
+    for j in (10**400, -10**400):  # compared, never converted to a float
+        with pytest.raises(ValueError, match="j must be a half-integer"):
+            ChannelIndex(0, j)
 
 
 def test_level_index_validation():

@@ -140,7 +140,7 @@ def test_zeta_identity_large_s():
 def test_zeta_identity_domain():
     with pytest.raises(ValueError):
         zeta_double_sum_identity_check(2.0)
-    for s in (math.inf, math.nan):
+    for s in (math.inf, math.nan, 10**400, -10**400):
         with pytest.raises(ValueError, match=re.escape(f"requires finite s > 2, got {s}") + "$"):
             zeta_double_sum_identity_check(s)
     with pytest.raises(ValueError, match=re.escape("head terms at s=1e+300, a=1.0")):
@@ -174,6 +174,11 @@ def test_shift_domain_errors():
         shift(0.5, 1e-11)
     with pytest.raises(ValueError):
         shift(0.5, 0.1)
+    for gamma in (math.nan, 10**400, -10**400):
+        with pytest.raises(ValueError, match=re.escape(f"gamma must lie in [0, 1), got {gamma!r}")):
+            shift(gamma)
+    with pytest.raises(ValueError, match=re.escape(f"tol must lie in [1e-10, 0.01], got {10**400}")):
+        shift(0.5, 10**400)
 
 
 def test_shift_negative_and_certified():
@@ -272,7 +277,8 @@ def test_scott_coefficient():
 def test_shift_accepts_coupling_or_float():
     a = shift(Coupling(0.4), 1e-8)
     b = shift(0.4, 1e-8)
-    assert a.value == b.value
+    assert a == b and type(a.gamma) is float
+    assert type(scott_coefficient(Coupling(0.4)).gamma) is float
 
 
 # 40-digit-arithmetic references (same channel structure, exact arithmetic,

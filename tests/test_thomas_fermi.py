@@ -540,6 +540,8 @@ _PUBLIC_CALLS = {
     "screening_potential": (("Z", "c", "x"),
                             lambda sol, Z, c, x: screening_potential(Z, c, sol, x)),
     "hurwitz_zeta": (("s", "a"), lambda sol, s, a: hurwitz_zeta(s, a)),
+    "tf_functional_at_scale": (("amplitude",),
+                               lambda sol, amplitude: tf_functional_at_scale(sol, amplitude)),
 }
 
 

@@ -59,7 +59,7 @@ def test_domain_errors():
     for s in (math.inf, 1e300):
         with pytest.raises(ValueError, match=re.escape(f"head terms at s={s}, a=2.0")):
             hurwitz_zeta(s, 2.0)
-    for s, a in ((2.0, 1e-300), (1e300, 1e300)):
+    for s, a in ((2.0, 1e-300), (1e300, 1e300), (10**400, 2.0), (3.0, 10**400)):
         with pytest.raises(ValueError, match=re.escape(f"in floats at s={s}, a={a}") + "$"):
             hurwitz_zeta(s, a)
 
