@@ -9,19 +9,18 @@ Run: python demos/scott_shift_curve.py [out.csv]
 
 import sys
 
+import relscott.cli
 from relscott import SCHWINGER_COEFFICIENT, schwinger_shift, shift
 
 
 def main() -> None:
     print(f"Schwinger coefficient: {SCHWINGER_COEFFICIENT:.9f}")
     print(f"{'gamma':>8} {'s(gamma)':>14} {'q = 1/2 + s':>14} {'Schwinger q':>14} {'tail':>10}")
-    rows = []
     for i in range(12):
         g = 0.0 + 0.9 * i / 11
         res = shift(g, 1e-8)
         q = 0.5 + res.value
         q_schw = 0.5 + schwinger_shift(g)
-        rows.append((g, res.value, q, q_schw))
         print(f"{g:8.4f} {res.value:14.9f} {q:14.9f} {q_schw:14.9f} {res.tail_estimate:10.1e}")
 
     print("\nstrong-coupling approach to the limit (about -1.91):")
@@ -31,10 +30,8 @@ def main() -> None:
 
     if len(sys.argv) > 1:
         path = sys.argv[1]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("gamma,s_d,scott_q,schwinger_q\n")
-            for g, s, q, qs in rows:
-                fh.write(f"{g:.12g},{s:.12g},{q:.12g},{qs:.12g}\n")
+        relscott.cli.main(["curve", "--gamma-min", "0", "--gamma-max", "0.9", "--steps", "12",
+                           "--out", path])
         print(f"\nwrote {path}")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from numbers import Real
 
 from .hydrogenic import Coupling, EnergyHa
 from .scott_shift import SCHWINGER_COEFFICIENT, check_tol, shift
@@ -30,7 +31,7 @@ class PhysicalConstants:
     alpha: float = FINE_STRUCTURE_ALPHA
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 0.01):
+        if not (isinstance(self.alpha, Real) and 0.0 < self.alpha < 0.01):
             raise ValueError(f"alpha must lie in (0, 0.01), got {self.alpha!r}")
 
 
@@ -45,7 +46,7 @@ class NistRecord:
     def __post_init__(self) -> None:
         if isinstance(self.Z, bool) or not isinstance(self.Z, int) or self.Z < 1:
             raise ValueError(f"Z must be an integer >= 1, got {self.Z!r}")
-        if not -sys.float_info.max <= self.e_total < 0.0:  # an int may lie beyond floats
+        if not (isinstance(self.e_total, Real) and -sys.float_info.max <= self.e_total < 0.0):
             raise ValueError(f"e_total must be finite and negative, got {self.e_total!r}")
 
 

@@ -50,10 +50,10 @@ class Coupling:
 
 
 def _as_float(value) -> float:
-    """float(value), or nan for an int beyond floats, which then fails every range test."""
+    """float(value), or nan where float() fails, which then fails every range test."""
     try:
         return float(value)
-    except OverflowError:
+    except (OverflowError, TypeError, ValueError):
         return math.nan
 
 

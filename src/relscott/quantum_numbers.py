@@ -11,6 +11,7 @@ the familiar block dimension 2(2l + 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterator
 
 # the largest principal number n + l that a float holds exactly
@@ -27,7 +28,7 @@ class ChannelIndex:
     def __post_init__(self) -> None:
         if not isinstance(self.l, int) or self.l < 0:
             raise ValueError(f"l must be a nonnegative integer, got {self.l!r}")
-        if not (abs(self.j) < PRINCIPAL_MAX and 2.0 * self.j % 2.0 == 1.0):
+        if not (isinstance(self.j, Real) and abs(self.j) < PRINCIPAL_MAX and 2 * self.j % 2 == 1):
             raise ValueError(f"j must be a half-integer (1/2, 3/2, ...), got {self.j!r}")
         if self.j < 0.5:
             raise ValueError(f"j must be >= 1/2, got {self.j!r}")

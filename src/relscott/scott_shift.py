@@ -45,6 +45,7 @@ from .hydrogenic import (
     difference_over_gamma2_kernel,
     fine_structure_kernel,
 )
+from .quantum_numbers import PRINCIPAL_MAX
 from .zeta import hurwitz_zeta, riemann_zeta
 
 # (zeta(3) - 5 pi^2/24): coefficient of gamma^2 in Schwinger's closed form
@@ -205,12 +206,19 @@ def _series_order(kb: np.ndarray, a: np.ndarray, budget: float) -> tuple[int, fl
     return 3 + i, float(bounds[i])
 
 
-def _truncated_sum_gamma(g: Coupling | float, l_max: int, n_max: int) -> float:
-    """gamma of g in [0, 1], once the cutoffs are checked: ints, l_max >= 0, n_max >= 1."""
+def _truncated_sum(kernel, g: Coupling | float, l_max: int, n_max: int) -> float:
+    """fsum of kernel's _weighted_channel_sums over l <= l_max, n <= n_max at gamma
+    of g in [0, 1] (0.0 at gamma = 0).  ValueError unless the cutoffs are ints with
+    l_max >= 0, n_max >= 1 and l_max + n_max <= PRINCIPAL_MAX (each n + l an exact float)."""
     gamma = _gamma_of(g, closed_top=True)
-    if not (isinstance(l_max, int) and l_max >= 0 and isinstance(n_max, int) and n_max >= 1):
-        raise ValueError(f"cutoffs must be ints, l >= 0 and n >= 1, got {l_max!r}, {n_max!r}")
-    return gamma
+    if not (isinstance(l_max, int) and isinstance(n_max, int)
+            and l_max >= 0 and 1 <= n_max <= PRINCIPAL_MAX - l_max):
+        raise ValueError(f"cutoffs must be ints, l >= 0, n >= 1 and n + l <= 2**53, "
+                         f"got {l_max!r}, {n_max!r}")
+    if gamma == 0.0:
+        return 0.0
+    l, kb = _channel_arrays(l_max + 1)
+    return math.fsum(_weighted_channel_sums(kernel, gamma, l, kb, n_max).tolist())
 
 
 def direct_channel_sum(g: Coupling | float, l_cut: int, n_cut: int) -> float:
@@ -220,10 +228,7 @@ def direct_channel_sum(g: Coupling | float, l_cut: int, n_cut: int) -> float:
     partial sum is nonincreasing in both cutoffs.  gamma = 1 is admitted;
     raises ValueError like schwinger_shift_bruteforce.
     """
-    gamma = _truncated_sum_gamma(g, l_cut, n_cut)
-    l, kb = _channel_arrays(l_cut + 1)
-    sums = _weighted_channel_sums(difference_over_gamma2_kernel, gamma, l, kb, n_cut)
-    return math.fsum(sums.tolist())
+    return _truncated_sum(difference_over_gamma2_kernel, g, l_cut, n_cut)
 
 
 def _l_tail(gamma: float, l_count: int, zetas: list[float]) -> tuple[float, float]:
@@ -359,15 +364,8 @@ def schwinger_shift_bruteforce(g: Coupling | float, l_max: int, n_max: int) -> f
     to schwinger_shift as the cutoffs grow (the l-truncation error for
     gamma=1 is about 1/(2 l_max)).  gamma = 1 is admitted.
     """
-    gamma = _truncated_sum_gamma(g, l_max, n_max)
-    if gamma == 0.0:
-        return 0.0
-    g2 = gamma * gamma
-    l, kb = _channel_arrays(l_max + 1)
-    sums = _weighted_channel_sums(
-        lambda g, p, k: fine_structure_kernel(g, p, k) / g2, gamma, l, kb, n_max
-    )
-    return math.fsum(sums.tolist())
+    return _truncated_sum(lambda g, p, k: fine_structure_kernel(g, p, k) / (g * g),
+                          g, l_max, n_max)
 
 
 def zeta_double_sum_identity_check(s: float) -> ZetaIdentityCheck:

@@ -69,7 +69,7 @@ _NEWTON_MAX_STEPS = 30
 
 # columns of the node table: ln phi, d ln phi/dt, q(x), o(x) and the
 # moments p(x) = int_0^x t dq and its rest int_x^inf t dq; lookups
-# (_NodeTable.rows, TfSolution._rows) return phi and phi' in the first two
+# (TfSolution._lookup and _rows) return phi and phi' in the first two
 _PSI, _PSI_T, _CHARGE, _OUTER, _MOMENT, _MOMENT_REST = range(6)
 _PHI, _DPHI = _PSI, _PSI_T
 
@@ -97,7 +97,11 @@ class InsufficientChargeError(ValueError):
 
 def _require_positive(**values: float) -> None:
     for name, value in values.items():
-        if not 0.0 < value < math.inf:
+        try:
+            positive = 0.0 < value < math.inf  # an int beyond floats passes
+        except TypeError:  # not a number: a str or None, say
+            positive = False
+        if not positive:
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
@@ -121,7 +125,7 @@ def _elementwise(values, name: str, arg: str, f, **fixed):
     else an array of the input's shape."""
     try:
         x = np.asarray(values, dtype=float)
-    except OverflowError:  # an int beyond floats fails the test below
+    except (OverflowError, TypeError, ValueError):  # beyond floats or not a number: fails below
         x = np.asarray(math.nan)
     flat = x.ravel().tolist()
     if not all(0.0 < v < math.inf for v in flat):
@@ -233,57 +237,17 @@ def _per_domain(matrix, values):
 
 
 @dataclass(frozen=True, eq=False)
-class _NodeTable:
-    """Columns at the Chebyshev nodes of each domain in ln x, and their lookup."""
-
-    breaks: tuple  # (domains + 1) domain ends in ln x, floats
-    nodes: np.ndarray  # (domains, degree + 1) node positions in ln x
-    weights: np.ndarray  # (degree + 1,) barycentric weights
-    values: np.ndarray  # (domains, 7, degree + 1): _PSI.._MOMENT_REST, then ones
-    node_set: frozenset  # every node position, to find a point that hits one
-    ends: tuple  # grid[0] and grid[-1] as floats, the range of x that rows takes
-
-    def rows(self, x) -> list:
-        """Every column at each point of x (floats inside the grid), phi and
-        phi' in place of ln phi and its slope: six floats a point.  ln x and
-        exp come from math, the domain from bisect_left on the inner breaks (a
-        point on a break takes the one below), the barycentric sums from a
-        per-row einsum without BLAS over one gather (the row of ones sums to
-        the denominator), and a node's point takes its values: a row has the
-        same bits alone as in any batch, thread count or numpy SIMD target."""
-        s = [math.log(xi) for xi in x]
-        domain = [bisect_left(self.breaks, si, 1, len(self.breaks) - 1) - 1 for si in s]
-        gap = self.nodes.take(domain, axis=0)
-        np.subtract(np.array(s)[:, None], gap, out=gap)
-        vals = self.values.take(domain, axis=0)
-        on_node = not self.node_set.isdisjoint(s)
-        if on_node:
-            hit = gap == 0.0
-            gap[hit] = 1.0
-        sums = np.einsum("ij,ikj->ik", np.divide(self.weights, gap, out=gap), vals)
-        if on_node:  # the node's own values over its row of ones
-            rows, cols = np.nonzero(hit)
-            sums[rows] = vals[rows, :, cols]
-        out = []
-        for xi, (psi, psi_t, q, o, p, rest, den) in zip(x, sums.tolist()):
-            phi = math.exp(psi / den)
-            dphi = phi * (psi_t / den) / (2.0 * xi)
-            out.append((phi, dphi, q / den, o / den, p / den, rest / den))
-        return out
-
-
-@dataclass(frozen=True, eq=False)
 class TfSolution:
     """Dimensionless neutral-atom profile with derived energy data.
 
-    grid/phi hold phi(x) at the collocation nodes: the
-    Chebyshev-Lobatto points of each domain in t = ln sqrt(x), each domain
-    end once, from PROFILE_X0 out to PROFILE_X_END, where phi sits below
-    10*TOL_MIN.  A node table adds q(x), o(x), int_0^x t dq and
-    int_x^inf t dq; every profile function, field and hole quantity reads all
-    columns in one barycentric lookup (series below the grid, fitted
-    power-law decay above).  Energies are Hartree at Z = 1.  Instances are
-    immutable (arrays are read-only) and identity-hashed.
+    grid/phi hold phi(x) at the collocation nodes: the Chebyshev-Lobatto points of
+    each domain in t = ln sqrt(x), each domain end once, from PROFILE_X0 out to
+    PROFILE_X_END, where phi sits below 10*TOL_MIN.  A node table, the private
+    fields below, adds q(x), o(x), int_0^x t dq and int_x^inf t dq at the
+    Chebyshev nodes of each domain in ln x; every profile function, field and
+    hole quantity reads all columns in one barycentric lookup (series below the
+    grid, fitted power-law decay above).  Energies are Hartree at Z = 1.
+    Instances are immutable (arrays are read-only) and identity-hashed.
     """
 
     initial_slope: float
@@ -294,27 +258,60 @@ class TfSolution:
     attraction_1: float
     repulsion_1: float
     asymptote_coefficient: float
-    _table: _NodeTable
+    _breaks: tuple  # (domains + 1) domain ends in ln x, floats
+    _nodes: np.ndarray  # (domains, degree + 1) node positions in ln x
+    _weights: np.ndarray  # (degree + 1,) barycentric weights
+    _values: np.ndarray  # (domains, 7, degree + 1): _PSI.._MOMENT_REST, then ones
+    _node_set: frozenset  # every node position, to find a point that hits one
+    _ends: tuple  # grid[0] and grid[-1] as floats, the range of x that _lookup takes
+
+    def _lookup(self, x) -> list:
+        """Every column at each point of x (floats inside the grid), phi and
+        phi' in place of ln phi and its slope: six floats a point.  ln x and
+        exp come from math, the domain from bisect_left on the inner breaks (a
+        point on a break takes the one below), the barycentric sums from a
+        per-row einsum without BLAS over one gather (the row of ones sums to
+        the denominator), and a node's point takes its values: a row has the
+        same bits alone as in any batch, thread count or numpy SIMD target."""
+        s = [math.log(xi) for xi in x]
+        domain = [bisect_left(self._breaks, si, 1, len(self._breaks) - 1) - 1 for si in s]
+        gap = self._nodes.take(domain, axis=0)
+        np.subtract(np.array(s)[:, None], gap, out=gap)
+        vals = self._values.take(domain, axis=0)
+        on_node = not self._node_set.isdisjoint(s)
+        if on_node:
+            hit = gap == 0.0
+            gap[hit] = 1.0
+        sums = np.einsum("ij,ikj->ik", np.divide(self._weights, gap, out=gap), vals)
+        if on_node:  # the node's own values over its row of ones
+            rows, cols = np.nonzero(hit)
+            sums[rows] = vals[rows, :, cols]
+        out = []
+        for xi, (psi, psi_t, q, o, p, rest, den) in zip(x, sums.tolist()):
+            phi = math.exp(psi / den)
+            dphi = phi * (psi_t / den) / (2.0 * xi)
+            out.append((phi, dphi, q / den, o / den, p / den, rest / den))
+        return out
 
     def _rows(self, x) -> list:
         """Columns _PHI.._MOMENT_REST, six floats a row, at each x >= 0 of a
-        sequence of floats: one table lookup on the grid, _off_grid off it."""
-        lo, hi = self._table.ends
+        sequence of floats: one _lookup on the grid, _off_grid off it."""
+        lo, hi = self._ends
         if not x or lo <= min(x) and max(x) <= hi:
-            return self._table.rows(x)
-        on_grid = iter(self._table.rows([xi for xi in x if lo <= xi <= hi]))
+            return self._lookup(x)
+        on_grid = iter(self._lookup([xi for xi in x if lo <= xi <= hi]))
         return [next(on_grid) if lo <= xi <= hi else self._off_grid(xi) for xi in x]
 
     def _off_grid(self, x: float) -> tuple:
         """The row at x below the grid, from the series head (o = -phi'), or
         above it, from the power-law decay (q = 1 - (phi - x phi'), o = -phi')."""
-        if x < self._table.ends[0]:
+        if x < self._ends[0]:
             phi, dphi, q, p = _head(x, self.initial_slope)
-            first = self._table.values[0, :, 0].tolist()
+            first = self._values[0, :, 0].tolist()
             row = phi, dphi, q, -dphi, p, first[_MOMENT] + first[_MOMENT_REST] - p
         else:
             phi, dphi, rest = _decay(x, self.asymptote_coefficient)
-            last = self._table.values[-1, :, -1].tolist()
+            last = self._values[-1, :, -1].tolist()
             q = 1.0 - (phi - x * dphi)
             row = phi, dphi, q, -dphi, last[_MOMENT] + last[_MOMENT_REST] - rest, rest
         return row
@@ -519,21 +516,16 @@ def solve_tf(tol: float = 1e-8) -> TfSolution:
     keep[1:, 0] = False
     grid, phi_arr = x[keep], phi[keep]
     values = np.stack([psi, psi_t, q_nodes, o_nodes, p_nodes, p_rest, np.ones_like(psi)], axis=1)
-    table = _NodeTable(tuple((2.0 * breaks).tolist()), 2.0 * t, weights, values,
-                       frozenset((2.0 * t).ravel().tolist()), (float(grid[0]), float(grid[-1])))
-    for arr in (grid, phi_arr, table.nodes, values):
+    nodes = 2.0 * t
+    for arr in (grid, phi_arr, nodes, weights, values):
         arr.setflags(write=False)
 
     return TfSolution(
-        initial_slope=slope,
-        grid=grid,
-        phi=phi_arr,
-        e_tf_1=float(e_tf_1),
-        kinetic_1=float(kinetic),
-        attraction_1=float(attraction),
-        repulsion_1=float(repulsion),
+        initial_slope=slope, grid=grid, phi=phi_arr, e_tf_1=float(e_tf_1),
+        kinetic_1=float(kinetic), attraction_1=float(attraction), repulsion_1=float(repulsion),
         asymptote_coefficient=float(coeff_f),
-        _table=table,
+        _breaks=tuple((2.0 * breaks).tolist()), _nodes=nodes, _weights=weights, _values=values,
+        _node_set=frozenset(nodes.ravel().tolist()), _ends=(float(grid[0]), float(grid[-1])),
     )
 
 
@@ -718,6 +710,9 @@ def _hole_radius(sol: TfSolution, Z: float, d: float):
         if charge > target:
             hi, reached = radius, True
         elif radius == hi:
+            if hi == d and sol._values[-1, _CHARGE, -1] >= target:
+                # a ball of radius d + x_end holds q(x_end): R_1 is in (d, d + x_end]
+                return radius, rows, centre
             raise InsufficientChargeError(
                 f"charge cannot reach 1/2 within radius {hi * TF_LENGTH_B / Z ** (1.0 / 3.0)}")
         else:
@@ -749,7 +744,9 @@ def exchange_hole_radius(Z: float, sol: TfSolution, r: float) -> float:
     start from the local-density ball (3Q)^(1/3) sqrt(d/phi(d)), phi from
     Sommerfeld's closed form, or d + (3Q/2)^(2/3) if smaller (a ball far out
     must reach the core), and stop once a step is below 1e-13 + 8.9e-16 R_1
-    or Q is within its rounding bound of 1/(2Z).  Z <= 1/2 has no radius.
+    or Q is within its rounding bound of 1/(2Z).  Far out, where d + x_end
+    rounds to d and the ball of radius d holds less than Q, R_1 is d.  Z <= 1/2
+    has no radius.
     Where floats cannot hold the search (d^4 overflows or Q underflows, say),
     ValueError names Z and r.
     """

@@ -49,7 +49,7 @@ def hurwitz_zeta(s: float | np.ndarray, a: float | np.ndarray) -> float | np.nda
     """
     try:
         order, arg = np.asarray(s, dtype=float), np.asarray(a, dtype=float)
-    except OverflowError:  # an int beyond floats
+    except (OverflowError, TypeError, ValueError):  # beyond floats, or not a number
         raise ValueError(f"hurwitz_zeta cannot be evaluated in floats at s={s}, a={a}") from None
     for name, given, values, low in (("s", s, order, 1), ("a", a, arg, 0)):
         if not (values > low).all():

@@ -207,7 +207,7 @@ def _shell_integral(sol, f, lo: float, hi: float, kinks=()) -> float:
         x = w / TF_LENGTH_B
         return f(w) * sol.phi_at(x) ** 1.5 * math.sqrt(x) / TF_LENGTH_B
 
-    ends = [TF_LENGTH_B * float(x) for x in np.exp(sol._table.breaks)] + list(kinks)
+    ends = [TF_LENGTH_B * float(x) for x in np.exp(sol._breaks)] + list(kinks)
     cuts = sorted({lo, hi, *(c for c in ends if lo < c < hi)})
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)

@@ -169,7 +169,7 @@ def test_profile_scalar_equals_array(tf_solution, name):
     # 50 points: below the grid, collocation nodes, the domain breaks, the
     # grid ends, points between nodes, and above the grid
     grid = tf_solution.grid
-    breaks = np.exp(tf_solution._table.breaks)
+    breaks = np.exp(tf_solution._breaks)
     rng = np.random.default_rng(7)
     x = np.concatenate([
         [0.1 * grid[0], 0.5 * grid[0]],

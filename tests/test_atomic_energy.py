@@ -68,6 +68,31 @@ def test_ingest_rejects_what_the_record_rejects_and_names_the_line(row, cause):
         ingest_energy_table(f"Z,E_total_Ha\n2,-2.9\n{row}\n")
 
 
+@pytest.mark.parametrize("bad", ["3", None])
+def test_non_numbers_name_the_argument(tf_solution, bad):
+    # compared only once their type is known: a numeric string is not read
+    calls = [
+        (lambda: NistRecord(1, bad), f"e_total must be finite and negative, got {bad!r}"),
+        (lambda: PhysicalConstants(bad), f"alpha must lie in (0, 0.01), got {bad!r}"),
+        (lambda: predict_energy(bad, 0.5, tf_solution), f"Z must be positive and finite, got {bad}"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            call()
+
+
+def test_ingest_names_a_row_without_two_fields():
+    message = "^" + re.escape("line 3: expected 2 comma-separated fields, got '1,-0.5,7'") + "$"
+    with pytest.raises(ValueError, match=message):
+        ingest_energy_table("Z,E_total_Ha\n2,-2.9\n1,-0.5,7\n")
+
+
+def test_ingest_names_a_missing_header_line():
+    for text in ("", "# a comment alone\n\n"):
+        with pytest.raises(ValueError, match="^no header line 'Z,E_total_Ha' found$"):
+            ingest_energy_table(text)
+
+
 def test_ingest_single_row():
     assert ingest_energy_table("Z,E_total_Ha\n1,-0.5\n") == [NistRecord(1, -0.5)]
 

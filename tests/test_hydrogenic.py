@@ -72,6 +72,12 @@ def test_schroedinger_examples():
     assert schroedinger_level(0.0, 4, 2) == 0.0
 
 
+def test_schroedinger_level_names_a_bad_l():
+    for l in (-1, 1.0):
+        with pytest.raises(ValueError, match=f"^l must be a nonnegative integer, got {l!r}$"):
+            schroedinger_level(0.5, 1, l)
+
+
 def test_level_difference_example():
     # (sqrt(0.64) - 1) - (-0.18) = -0.02 exactly in real arithmetic
     assert level_difference(0.6, lvl(1, 0, 0.5)) == pytest.approx(-0.02, abs=1e-16)
@@ -269,7 +275,7 @@ def test_coupling_validation():
         Coupling(1.0)
     with pytest.raises(ValueError):
         Coupling(-0.2)
-    for gamma in (math.nan, 10**400):
+    for gamma in (math.nan, 10**400, None, "abc"):
         with pytest.raises(ValueError, match=re.escape(f"gamma must lie in [0, 1), got {gamma!r}")):
             Coupling(gamma)
     assert Coupling(0.0).gamma == 0.0

@@ -49,9 +49,15 @@ def test_invalid_channels_rejected():
         ChannelIndex(1, 1.0)  # integer j
     with pytest.raises(ValueError):
         ChannelIndex(-1, 0.5)
-    for j in (10**400, -10**400):  # compared, never converted to a float
+    for j in (10**400, -10**400, "0.5", None):  # never converted to a float
         with pytest.raises(ValueError, match="j must be a half-integer"):
             ChannelIndex(0, j)
+
+
+def test_channels_for_l_names_a_bad_l():
+    for l in (-1, 1.5):
+        with pytest.raises(ValueError, match=f"^l must be a nonnegative integer, got {l!r}$"):
+            channels_for_l(l)
 
 
 def test_level_index_validation():

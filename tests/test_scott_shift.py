@@ -115,6 +115,25 @@ def test_truncated_sums_reject_bad_input(function, args, cause):
         function(*args)
 
 
+@pytest.mark.parametrize("function", [direct_channel_sum, schwinger_shift_bruteforce])
+def test_truncated_sums_bound_the_principal_number(function):
+    # every principal number n + l is an exact float: n + l <= 2**53, checked
+    # before gamma = 0 returns 0.0 without building a channel array
+    assert function(0.0, 0, 2**53) == 0.0
+    assert function(0.0, 2**53 - 1, 1) == 0.0
+    message = r"^cutoffs must be ints, l >= 0, n >= 1 and n \+ l <= 2\*\*53, got "
+    for l_cut, n_cut in ((1, 2**53), (2**53, 1), (2**63, 10), (10**400, 10), (10, 2**62)):
+        with pytest.raises(ValueError, match=message + f"{l_cut}, {n_cut}$"):
+            function(0.5, l_cut, n_cut)
+
+
+def test_gamma_takes_a_numeric_string_and_names_any_other_non_number():
+    assert shift("0.5") == shift(0.5)
+    for bad in (None, "abc"):
+        with pytest.raises(ValueError, match=re.escape(f"gamma must lie in [0, 1), got {bad!r}")):
+            shift(bad)
+
+
 def test_zeta_identity_s3():
     chk = zeta_double_sum_identity_check(3.0)
     with mpmath.workdps(30):

@@ -141,17 +141,17 @@ def test_node_columns_join_the_head_and_the_decay(tf_solution):
         assert off_grid == pytest.approx(on_grid, rel=1e-9, abs=0.0), end
 
 
-def _array_lookup(table, x):
+def _array_lookup(sol, x):
     """The array lookup the row lookup replaced, on ln x from math.log:
     searchsorted domains, one batched einsum, node hits.  Returns ln phi, its
     slope, q, o, p and p's rest at each x."""
     s = np.array([math.log(v) for v in x])
-    domain = np.asarray(table.breaks)[1:-1].searchsorted(s)
-    gap = s[:, None] - table.nodes.take(domain, axis=0)
+    domain = np.asarray(sol._breaks)[1:-1].searchsorted(s)
+    gap = s[:, None] - sol._nodes.take(domain, axis=0)
     hit = gap == 0.0
     gap[hit] = 1.0
-    vals = table.values.take(domain, axis=0)
-    sums = np.einsum("ij,ikj->ik", table.weights / gap, vals)
+    vals = sol._values.take(domain, axis=0)
+    sums = np.einsum("ij,ikj->ik", sol._weights / gap, vals)
     out = sums[:, :-1] / sums[:, -1:]
     rows, cols = np.nonzero(hit)
     out[rows] = vals[rows, :-1, cols]
@@ -177,25 +177,23 @@ def _lookup_points(sol, count: int, seed: int) -> list:
 
 
 def test_row_lookup_is_the_same_alone_and_in_any_batch(tf_solution):
-    table = tf_solution._table
     x = _lookup_points(tf_solution, 60, 11)
-    alone = [table.rows([v])[0] for v in x]
+    alone = [tf_solution._lookup([v])[0] for v in x]
     assert all(len(row) == 6 and all(type(c) is float for c in row) for row in alone)
     rng = np.random.default_rng(12)
     for size in (2, 3, 7, len(x)):
         order = rng.permutation(len(x)).tolist()
         for start in range(0, len(x), size):
             batch = order[start:start + size]
-            assert table.rows([x[i] for i in batch]) == [alone[i] for i in batch], size
+            assert tf_solution._lookup([x[i] for i in batch]) == [alone[i] for i in batch], size
 
 
 def test_row_lookup_keeps_the_array_lookups_columns(tf_solution):
     # q, o and the two moments keep the array lookup's bits; phi and phi' move
     # only by exp's rounding, math's against numpy's
-    table = tf_solution._table
     x = _lookup_points(tf_solution, 400, 13)
-    rows = np.array(table.rows(x))
-    old = _array_lookup(table, x)
+    rows = np.array(tf_solution._lookup(x))
+    old = _array_lookup(tf_solution, x)
     assert np.array_equal(rows[:, 2:], old[:, 2:])
     phi = np.exp(old[:, 0])
     assert np.all(np.abs(rows[:, 0] - phi) <= np.spacing(phi))
@@ -204,12 +202,11 @@ def test_row_lookup_keeps_the_array_lookups_columns(tf_solution):
 
 def test_row_lookup_on_breaks_and_grid_ends_takes_the_array_lookups_domain(tf_solution):
     # a point on an inner break takes the domain below it, as searchsorted did
-    table = tf_solution._table
-    on_breaks = [_on_log(b) for b in table.breaks[1:-1]]
+    on_breaks = [_on_log(b) for b in tf_solution._breaks[1:-1]]
     assert None not in on_breaks
     x = [*on_breaks, float(tf_solution.grid[0]), float(tf_solution.grid[-1])]
-    rows = np.array(table.rows(x))
-    old = _array_lookup(table, x)
+    rows = np.array(tf_solution._lookup(x))
+    old = _array_lookup(tf_solution, x)
     assert np.array_equal(rows[:, 2:], old[:, 2:])
     phi = [math.exp(psi) for psi in old[:, 0].tolist()]
     assert rows[:, 0].tolist() == phi
@@ -217,9 +214,8 @@ def test_row_lookup_on_breaks_and_grid_ends_takes_the_array_lookups_domain(tf_so
 
 
 def test_row_lookup_on_a_node_returns_the_node_values(tf_solution):
-    table = tf_solution._table
     found = 0
-    for d, (nodes, values) in enumerate(zip(table.nodes, table.values)):
+    for d, (nodes, values) in enumerate(zip(tf_solution._nodes, tf_solution._values)):
         for j, node in enumerate(nodes.tolist()):
             x = _on_log(node)
             if x is None or (j == 0 and d > 0):  # a domain's start is the last one's end
@@ -227,7 +223,7 @@ def test_row_lookup_on_a_node_returns_the_node_values(tf_solution):
             found += 1
             psi, psi_t, *rest = values[:-1, j].tolist()
             phi = math.exp(psi)
-            assert table.rows([x]) == [(phi, phi * psi_t / (2.0 * x), *rest)], (d, j)
+            assert tf_solution._lookup([x]) == [(phi, phi * psi_t / (2.0 * x), *rest)], (d, j)
     assert found >= 100
 
 
@@ -421,6 +417,19 @@ def test_hole_radius_domain(tf_solution):
             exchange_hole_radius(z, tf_solution, 1.0)
 
 
+def test_hole_radius_far_out_is_the_centre(tf_solution):
+    # d + x_end rounds to d, and the ball of radius d holds about half the atom,
+    # less than 1/(2Z) for Z < 1: the radius lies in (d, d + x_end], which
+    # rounds to d
+    for z, r in ((0.75, 1e20), (0.9, 1e300)):
+        assert exchange_hole_radius(z, tf_solution, r) == pytest.approx(r, rel=4e-16, abs=0.0)
+        assert math.isfinite(screening_potential(z, 1.0, tf_solution, r))
+    # q(x_end) < 1/(2Z): the radius may lie past the profile's end
+    for r in (1.0, 1e20):
+        with pytest.raises(InsufficientChargeError, match="^charge cannot reach 1/2 within radius"):
+            exchange_hole_radius(0.5 + 1e-10, tf_solution, r)
+
+
 def test_screening_bounds(tf_solution):
     # 0 < chi(x) < c^-2 V_Z(x/c) strictly on a log grid spanning [1e-3,1e3]*c
     for c in (1.0, 2.0):
@@ -561,6 +570,26 @@ def test_any_float_gives_a_finite_value_or_names_the_argument(tf_solution, name,
             assert any(re.search(rf"\b{arg}\b", str(exc)) for arg in names), str(exc)
             return
     assert np.isfinite(value).all(), (args, value)
+
+
+@pytest.mark.parametrize("bad", ["3", None])
+def test_non_numbers_name_the_argument(tf_solution, bad):
+    # Z, r, c and amplitude are compared only once their type is known; tol
+    # and x go through float(), which reads a numeric string
+    sol = tf_solution
+    calls = [
+        (lambda: tf_energy(bad, sol), "^Z must be positive and finite"),
+        (lambda: density(bad, sol), "^Z must be positive and finite"),
+        (lambda: mean_field(bad, sol, 1.0), "^Z must be positive and finite"),
+        (lambda: exchange_hole_radius(1.0, sol, bad), "^r must be positive and finite"),
+        (lambda: screening_potential(1.0, bad, sol, 1.0), "^c must be positive and finite"),
+        (lambda: tf_functional_at_scale(sol, bad), "^amplitude must be positive and finite"),
+        (lambda: solve_tf(bad), "^tol must lie in"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert sol.phi_at("0.5") == sol.phi_at(0.5)
 
 
 def test_profile_export(tf_solution, tmp_path):

@@ -64,6 +64,14 @@ def test_domain_errors():
             hurwitz_zeta(s, a)
 
 
+def test_a_numeric_string_is_read_and_any_other_non_number_named():
+    assert hurwitz_zeta("3", 1.0) == hurwitz_zeta(3.0, 1.0)
+    with pytest.raises(ValueError, match=re.escape("hurwitz_zeta requires s > 1, got s=None")):
+        hurwitz_zeta(None, 1.0)
+    with pytest.raises(ValueError, match=re.escape("in floats at s=3.0, a=abc") + "$"):
+        hurwitz_zeta(3.0, "abc")
+
+
 def test_euler_maclaurin_coefficients_are_the_rounded_fractions():
     # B_{2r}/(2r)! for r = 1..10, each literal the double nearest the fraction
     bernoulli = (
