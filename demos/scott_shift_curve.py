@@ -13,7 +13,7 @@ import relscott.cli
 from relscott import SCHWINGER_COEFFICIENT, schwinger_shift, shift
 
 
-def main() -> None:
+def main() -> int:
     print(f"Schwinger coefficient: {SCHWINGER_COEFFICIENT:.9f}")
     print(f"{'gamma':>8} {'s(gamma)':>14} {'q = 1/2 + s':>14} {'Schwinger q':>14} {'tail':>10}")
     for i in range(12):
@@ -28,12 +28,14 @@ def main() -> None:
         res = shift(1.0 - eps, 1e-6)
         print(f"  gamma = 1 - {eps:.0e}:  q = {0.5 + res.value:.6f}")
 
-    if len(sys.argv) > 1:
-        path = sys.argv[1]
-        relscott.cli.main(["curve", "--gamma-min", "0", "--gamma-max", "0.9", "--steps", "12",
-                           "--out", path])
-        print(f"\nwrote {path}")
+    if len(sys.argv) < 2:
+        return 0
+    path = sys.argv[1]
+    status = relscott.cli.main(["curve", "--gamma-min", "0", "--gamma-max", "0.9", "--steps", "12",
+                                "--out", path])
+    print(f"\nwrote {path}" if status == 0 else f"\n{path} not written")
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

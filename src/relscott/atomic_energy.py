@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from numbers import Real
 
 from .hydrogenic import Coupling, EnergyHa
+from .quantum_numbers import _holds
 from .scott_shift import SCHWINGER_COEFFICIENT, check_tol, shift
 from .thomas_fermi import TfSolution, tf_energy
 
@@ -31,7 +31,7 @@ class PhysicalConstants:
     alpha: float = FINE_STRUCTURE_ALPHA
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.alpha, Real) and 0.0 < self.alpha < 0.01):
+        if not _holds(lambda a: 0.0 < a < 0.01, self.alpha):
             raise ValueError(f"alpha must lie in (0, 0.01), got {self.alpha!r}")
 
 
@@ -46,7 +46,8 @@ class NistRecord:
     def __post_init__(self) -> None:
         if isinstance(self.Z, bool) or not isinstance(self.Z, int) or self.Z < 1:
             raise ValueError(f"Z must be an integer >= 1, got {self.Z!r}")
-        if not (isinstance(self.e_total, Real) and -sys.float_info.max <= self.e_total < 0.0):
+        # compared, not converted: an int may lie beyond floats
+        if not _holds(lambda e: -sys.float_info.max <= e < 0.0, self.e_total):
             raise ValueError(f"e_total must be finite and negative, got {self.e_total!r}")
 
 

@@ -11,11 +11,18 @@ the familiar block dimension 2(2l + 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 from typing import Iterator
 
 # the largest principal number n + l that a float holds exactly
 PRINCIPAL_MAX = 2**53
+
+
+def _holds(test, value) -> bool:
+    """test(value) as a bool, False where value does not compare (a str or None, say)."""
+    try:
+        return bool(test(value))
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -28,7 +35,7 @@ class ChannelIndex:
     def __post_init__(self) -> None:
         if not isinstance(self.l, int) or self.l < 0:
             raise ValueError(f"l must be a nonnegative integer, got {self.l!r}")
-        if not (isinstance(self.j, Real) and abs(self.j) < PRINCIPAL_MAX and 2 * self.j % 2 == 1):
+        if not _holds(lambda j: abs(j) < PRINCIPAL_MAX and 2.0 * j % 2.0 == 1.0, self.j):
             raise ValueError(f"j must be a half-integer (1/2, 3/2, ...), got {self.j!r}")
         if self.j < 0.5:
             raise ValueError(f"j must be >= 1/2, got {self.j!r}")

@@ -207,9 +207,8 @@ def _series_order(kb: np.ndarray, a: np.ndarray, budget: float) -> tuple[int, fl
 
 
 def _truncated_sum(kernel, g: Coupling | float, l_max: int, n_max: int) -> float:
-    """fsum of kernel's _weighted_channel_sums over l <= l_max, n <= n_max at gamma
-    of g in [0, 1] (0.0 at gamma = 0).  ValueError unless the cutoffs are ints with
-    l_max >= 0, n_max >= 1 and l_max + n_max <= PRINCIPAL_MAX (each n + l an exact float)."""
+    """fsum of kernel's _weighted_channel_sums, l <= l_max and n <= n_max, at gamma of g in
+    [0, 1] (0.0 at 0); cutoffs ints with l_max >= 0 and 1 <= n_max <= PRINCIPAL_MAX - l_max."""
     gamma = _gamma_of(g, closed_top=True)
     if not (isinstance(l_max, int) and isinstance(n_max, int)
             and l_max >= 0 and 1 <= n_max <= PRINCIPAL_MAX - l_max):

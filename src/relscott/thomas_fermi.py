@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hydrogenic import EnergyHa, _as_float
+from .quantum_numbers import _holds
 
 # dimensionless TF length unit: r = TF_LENGTH_B * Z^(-1/3) * x
 TF_LENGTH_B = 0.5 * (3.0 * math.pi / 4.0) ** (2.0 / 3.0)
@@ -97,11 +98,7 @@ class InsufficientChargeError(ValueError):
 
 def _require_positive(**values: float) -> None:
     for name, value in values.items():
-        try:
-            positive = 0.0 < value < math.inf  # an int beyond floats passes
-        except TypeError:  # not a number: a str or None, say
-            positive = False
-        if not positive:
+        if not _holds(lambda v: 0.0 < v < math.inf, value):  # an int beyond floats passes
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
@@ -709,10 +706,9 @@ def _hole_radius(sol: TfSolution, Z: float, d: float):
             return radius, rows, centre
         if charge > target:
             hi, reached = radius, True
+        elif radius == hi == d and sol._values[-1, _CHARGE, -1] >= target:
+            return radius, rows, centre  # radius d + x_end holds q(x_end): R_1 is in (d, d + x_end]
         elif radius == hi:
-            if hi == d and sol._values[-1, _CHARGE, -1] >= target:
-                # a ball of radius d + x_end holds q(x_end): R_1 is in (d, d + x_end]
-                return radius, rows, centre
             raise InsufficientChargeError(
                 f"charge cannot reach 1/2 within radius {hi * TF_LENGTH_B / Z ** (1.0 / 3.0)}")
         else:
@@ -776,8 +772,12 @@ def screening_potential(Z: float, c: float, sol: TfSolution, x: float) -> float:
         z, light = float(Z), float(c)
         d = float(x) / light * z ** (1.0 / 3.0) / TF_LENGTH_B
         radius, rows, centre = _hole_radius(sol, z, d)
-        window = rows or _ball_rows(sol, (abs(radius - d), radius + d))
-        hole = z ** (4.0 / 3.0) * _ball_potential(sol, d, radius, *window, centre) / TF_LENGTH_B
+        if d + sol._ends[1] == d:  # no float radius places the ball; its potential is 1/(2Z d)
+            ball = 0.5 / z / d
+        else:
+            window = rows or _ball_rows(sol, (abs(radius - d), radius + d))
+            ball = _ball_potential(sol, d, radius, *window, centre)
+        hole = z ** (4.0 / 3.0) * ball / TF_LENGTH_B
         full = z ** (4.0 / 3.0) * ((centre[0] / d + centre[6]) / TF_LENGTH_B)
         return (full - hole) / (light * light)
 

@@ -1,7 +1,9 @@
 import math
 import re
 import warnings
+from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,6 +81,14 @@ def test_non_numbers_name_the_argument(tf_solution, bad):
     for call, message in calls:
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             call()
+
+
+def test_anything_that_compares_is_a_number():
+    # only a comparison's TypeError names a non-number: 0-d arrays and Decimals pass
+    for e_total in (np.array(-1.0), Decimal("-0.5"), np.float64(-2.0), -10**300):
+        assert NistRecord(1, e_total).e_total is e_total
+    for alpha in (np.array(0.007), Decimal("0.007")):
+        assert PhysicalConstants(alpha).alpha is alpha
 
 
 def test_ingest_names_a_row_without_two_fields():

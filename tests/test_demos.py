@@ -4,8 +4,6 @@ from pathlib import Path
 
 import pytest
 
-from relscott.cli import main
-
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
@@ -15,15 +13,3 @@ def test_demo_runs(demo, tmp_path):
     out = tmp_path / f"{demo.stem}.csv"
     proc = subprocess.run([sys.executable, str(demo), str(out)], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-
-
-def test_curve_demo_writes_the_cli_curve(tmp_path):
-    # the demo's CSV is `relscott curve` over its own 12 gammas, byte for byte
-    demo, cli = tmp_path / "demo.csv", tmp_path / "cli.csv"
-    script = DEMOS[0].with_name("scott_shift_curve.py")
-    proc = subprocess.run([sys.executable, str(script), str(demo)], capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    argv = ["curve", "--gamma-min", "0", "--gamma-max", "0.9", "--steps", "12", "--out", str(cli)]
-    assert main(argv) == 0
-    assert demo.read_bytes() == cli.read_bytes()

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -52,6 +53,7 @@ def test_invalid_channels_rejected():
     for j in (10**400, -10**400, "0.5", None):  # never converted to a float
         with pytest.raises(ValueError, match="j must be a half-integer"):
             ChannelIndex(0, j)
+    assert ChannelIndex(0, np.array(0.5)).j == 0.5  # a 0-d array compares like its float
 
 
 def test_channels_for_l_names_a_bad_l():

@@ -423,11 +423,19 @@ def test_hole_radius_far_out_is_the_centre(tf_solution):
     # rounds to d
     for z, r in ((0.75, 1e20), (0.9, 1e300)):
         assert exchange_hole_radius(z, tf_solution, r) == pytest.approx(r, rel=4e-16, abs=0.0)
-        assert math.isfinite(screening_potential(z, 1.0, tf_solution, r))
     # q(x_end) < 1/(2Z): the radius may lie past the profile's end
     for r in (1.0, 1e20):
         with pytest.raises(InsufficientChargeError, match="^charge cannot reach 1/2 within radius"):
             exchange_hole_radius(0.5 + 1e-10, tf_solution, r)
+
+
+def test_screening_far_out_leaves_z_minus_a_half(tf_solution):
+    # where d + x_end rounds to d the hole's charge 1/(2Z) sits at distance d,
+    # (d ~ x/c), so chi(x) = (Z - 1/2)/(x c) to rounding, on either side of Z = 1
+    for z, r in ((0.75, 1e20), (0.9, 1e300), (2.0, 1e20), (92.0, 1e300)):
+        for c in (1.0, 137.0):
+            chi = screening_potential(z, c, tf_solution, r * c)
+            assert r * c * c * chi / (z - 0.5) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_screening_bounds(tf_solution):
