@@ -772,7 +772,7 @@ def screening_potential(Z: float, c: float, sol: TfSolution, x: float) -> float:
         z, light = float(Z), float(c)
         d = float(x) / light * z ** (1.0 / 3.0) / TF_LENGTH_B
         radius, rows, centre = _hole_radius(sol, z, d)
-        if d + sol._ends[1] == d:  # no float radius places the ball; its potential is 1/(2Z d)
+        if d + sol._ends[1] == d:  # no float radius places the ball: the hole gives 1/(2Z d)
             ball = 0.5 / z / d
         else:
             window = rows or _ball_rows(sol, (abs(radius - d), radius + d))

@@ -430,8 +430,8 @@ def test_hole_radius_far_out_is_the_centre(tf_solution):
 
 
 def test_screening_far_out_leaves_z_minus_a_half(tf_solution):
-    # where d + x_end rounds to d the hole's charge 1/(2Z) sits at distance d,
-    # (d ~ x/c), so chi(x) = (Z - 1/2)/(x c) to rounding, on either side of Z = 1
+    # where d + x_end rounds to d (d ~ x/c) the hole's charge 1/(2Z) sits at
+    # distance d, so chi(x) = (Z - 1/2)/(x c) to rounding, on either side of Z = 1
     for z, r in ((0.75, 1e20), (0.9, 1e300), (2.0, 1e20), (92.0, 1e300)):
         for c in (1.0, 137.0):
             chi = screening_potential(z, c, tf_solution, r * c)
