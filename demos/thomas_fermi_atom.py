@@ -9,6 +9,7 @@ Run: python demos/thomas_fermi_atom.py [profile.csv]
 
 import sys
 
+import relscott.cli
 from relscott import (
     density,
     exchange_hole_radius,
@@ -19,7 +20,7 @@ from relscott import (
 )
 
 
-def main() -> None:
+def main() -> int:
     sol = solve_tf(1e-8)
     print(f"initial slope (Baker's constant): {sol.initial_slope:.10f}")
     print(f"E_TF(1) = {sol.e_tf_1:.8f} Ha")
@@ -49,10 +50,14 @@ def main() -> None:
         ub = mean_field(1.0, sol, x)
         print(f"  x = {x:5.2f}: R = {radius:9.5f}  chi = {chi:.6f}  (unscreened {ub:.6f})")
 
-    if len(sys.argv) > 1:
-        sol.export_profile_csv(sys.argv[1])
-        print(f"\nwrote {sys.argv[1]}")
+    if len(sys.argv) < 2:
+        return 0
+    path = sys.argv[1]
+    print()
+    status = relscott.cli.main(["tf", "--profile", path])
+    print(f"\nwrote {path}" if status == 0 else f"\n{path} not written")
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

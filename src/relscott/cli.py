@@ -115,8 +115,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 def _cmd_tf(args: argparse.Namespace) -> int:
     sol = solve_tf(args.tol)
     if args.profile:
-        with _reporting_os_error("write", args.profile):
-            sol.export_profile_csv(args.profile)
+        _emit(argparse.Namespace(json=False, out=args.profile),
+              [{"x": x, "phi": phi} for x, phi in zip(sol.grid.tolist(), sol.phi.tolist())])
     _emit(args, {"initial_slope": sol.initial_slope, "e_tf_1": sol.e_tf_1})
     return 0
 

@@ -18,7 +18,10 @@ PRINCIPAL_MAX = 2**53
 
 
 def _holds(test, value) -> bool:
-    """test(value) as a bool, False where value does not compare (a str or None, say)."""
+    """test(value) as a bool, False where value does not compare (a str or None,
+    say) or is an array of one or more dimensions, which is no scalar."""
+    if getattr(value, "ndim", 0) >= 1:
+        return False
     try:
         return bool(test(value))
     except TypeError:

@@ -68,11 +68,11 @@ _DEGREE = 32
 _NEWTON_STEP_TOL = 1e-10
 _NEWTON_MAX_STEPS = 30
 
-# columns of the node table: ln phi, d ln phi/dt, q(x), o(x) and the
-# moments p(x) = int_0^x t dq and its rest int_x^inf t dq; lookups
-# (TfSolution._lookup and _rows) return phi and phi' in the first two
-_PSI, _PSI_T, _CHARGE, _OUTER, _MOMENT, _MOMENT_REST = range(6)
-_PHI, _DPHI = _PSI, _PSI_T
+# slots of a lookup row (TfSolution._lookup, _off_grid): q(x), its rest
+# 1 - q = phi - x phi' (accurate far out), phi', the moment p(x) = int_0^x t dq,
+# its rest int_x^inf t dq, phi, and o(x) as tabulated (-phi' off the grid).
+# The node table holds ln phi, d ln phi/dt, q, o, p, p's rest and ones.
+_CHARGE, _CHARGE_REST, _DPHI, _MOMENT, _MOMENT_REST, _PHI, _OUTER = range(7)
 
 # ball fields (see _ball_charge): a closed form's rounding per unit of its
 # terms' size, the share of its result this may reach, and the 8-point
@@ -258,13 +258,13 @@ class TfSolution:
     _breaks: tuple  # (domains + 1) domain ends in ln x, floats
     _nodes: np.ndarray  # (domains, degree + 1) node positions in ln x
     _weights: np.ndarray  # (degree + 1,) barycentric weights
-    _values: np.ndarray  # (domains, 7, degree + 1): _PSI.._MOMENT_REST, then ones
+    _values: np.ndarray  # (domains, 7, degree + 1): ln phi, d ln phi/dt, q, o, p, p's rest, ones
     _node_set: frozenset  # every node position, to find a point that hits one
     _ends: tuple  # grid[0] and grid[-1] as floats, the range of x that _lookup takes
 
     def _lookup(self, x) -> list:
-        """Every column at each point of x (floats inside the grid), phi and
-        phi' in place of ln phi and its slope: six floats a point.  ln x and
+        """The row (_CHARGE.._OUTER, seven floats) at each point of x (floats
+        inside the grid), phi and phi' from ln phi and its slope.  ln x and
         exp come from math, the domain from bisect_left on the inner breaks (a
         point on a break takes the one below), the barycentric sums from a
         per-row einsum without BLAS over one gather (the row of ones sums to
@@ -287,12 +287,12 @@ class TfSolution:
         for xi, (psi, psi_t, q, o, p, rest, den) in zip(x, sums.tolist()):
             phi = math.exp(psi / den)
             dphi = phi * (psi_t / den) / (2.0 * xi)
-            out.append((phi, dphi, q / den, o / den, p / den, rest / den))
+            out.append((q / den, phi - xi * dphi, dphi, p / den, rest / den, phi, o / den))
         return out
 
     def _rows(self, x) -> list:
-        """Columns _PHI.._MOMENT_REST, six floats a row, at each x >= 0 of a
-        sequence of floats: one _lookup on the grid, _off_grid off it."""
+        """The row at each x >= 0 of a sequence of floats: one _lookup on the
+        grid, _off_grid off it."""
         lo, hi = self._ends
         if not x or lo <= min(x) and max(x) <= hi:
             return self._lookup(x)
@@ -300,22 +300,22 @@ class TfSolution:
         return [next(on_grid) if lo <= xi <= hi else self._off_grid(xi) for xi in x]
 
     def _off_grid(self, x: float) -> tuple:
-        """The row at x below the grid, from the series head (o = -phi'), or
-        above it, from the power-law decay (q = 1 - (phi - x phi'), o = -phi')."""
+        """The row at x below the grid, from the series head, or above it, from
+        the power-law decay (q = 1 - (phi - x phi')); o = -phi', and p + its
+        rest is the node table's at the nearer end."""
         if x < self._ends[0]:
             phi, dphi, q, p = _head(x, self.initial_slope)
-            first = self._values[0, :, 0].tolist()
-            row = phi, dphi, q, -dphi, p, first[_MOMENT] + first[_MOMENT_REST] - p
+            p_end, rest_end = self._values[0, 4:6, 0].tolist()
+            rest = p_end + rest_end - p
         else:
             phi, dphi, rest = _decay(x, self.asymptote_coefficient)
-            last = self._values[-1, :, -1].tolist()
-            q = 1.0 - (phi - x * dphi)
-            row = phi, dphi, q, -dphi, last[_MOMENT] + last[_MOMENT_REST] - rest, rest
-        return row
+            p_end, rest_end = self._values[-1, 4:6, -1].tolist()
+            q, p = 1.0 - (phi - x * dphi), p_end + rest_end - rest
+        return q, phi - x * dphi, dphi, p, rest, phi, -dphi
 
-    def _column(self, x, name: str, column: int):
-        """One column of _rows at each x > 0 (scalar or array), as _elementwise."""
-        return _elementwise(x, name, "x", lambda t: [row[column] for row in self._rows(t)])
+    def _column(self, x, name: str, slot: int):
+        """One slot of _rows at each x > 0 (scalar or array), as _elementwise."""
+        return _elementwise(x, name, "x", lambda t: [row[slot] for row in self._rows(t)])
 
     def phi_at(self, x) -> np.ndarray:
         """Profile phi(x) for any x > 0 (scalar or array)."""
@@ -332,13 +332,6 @@ class TfSolution:
     def outer_profile_integral(self, x) -> np.ndarray:
         """o(x) = int_x^inf phi^{3/2} t^{-1/2} dt = -phi'(x) for the exact profile."""
         return self._column(x, "outer_profile_integral", _OUTER)
-
-    def export_profile_csv(self, path) -> None:
-        """Write the x,phi table (12 significant digits)."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,phi\n")
-            for x, p in zip(self.grid, self.phi):
-                fh.write(f"{x:.12g},{p:.12g}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -597,14 +590,6 @@ def mean_field(Z: float, sol: TfSolution, r) -> float | np.ndarray:
     return _elementwise(r, "mean_field", "r", potential, Z=Z)
 
 
-def _ball_rows(sol: TfSolution, x: tuple) -> list:
-    """(q, 1 - q, o, p, p's rest, -o', mean_field's o) at each point of x (TF units)
-    from one lookup's rows; 1 - q = phi - x phi' and o = -phi' stay accurate far out."""
-    return [(q, phi - xi * dphi, -dphi, p, rest,
-             phi**1.5 / math.sqrt(xi) if xi > 0.0 else math.inf, o)
-            for xi, (phi, dphi, q, o, p, rest) in zip(x, sol._rows(x))]
-
-
 @np.errstate(all="ignore")  # quiet at extreme windows: _finite names a result that is not finite
 def _window_gauss(sol: TfSolution, d: float, radius: float):
     """Gauss-Legendre nodes w on [a, m] and [m, b] (a = |R - d|, b = R + d,
@@ -618,8 +603,8 @@ def _window_gauss(sol: TfSolution, d: float, radius: float):
 
 
 def _between(lo, hi, k: int) -> tuple[float, float]:
-    """Change of moment k (0: q, 3: p) from row lo to row hi, from the origin
-    (entry k) or infinity (k + 1), whichever holds less, and that size."""
+    """Change of moment k (_CHARGE or _MOMENT) from row lo to row hi, from the
+    origin (slot k) or infinity (k + 1), whichever holds less, and that size."""
     if hi[k] <= lo[k + 1]:
         return hi[k] - lo[k], hi[k]
     return lo[k + 1] - hi[k + 1], lo[k + 1]
@@ -627,8 +612,8 @@ def _between(lo, hi, k: int) -> tuple[float, float]:
 
 def _ball_charge(sol: TfSolution, d: float, radius: float, a, b):
     """Charge Q of rho_1 in the ball of radius R at |x| = d > 0 (TF units),
-    dQ/dR, d^2Q/dR^2 and the rounding bound of Q, from the _ball_rows a and
-    b at the window ends |R - d| and R + d.
+    dQ/dR, d^2Q/dR^2 and the rounding bound of Q, from the rows a and b at
+    the window ends |R - d| and R + d.
 
     A shell at |y| = w in the window a = |R - d| < w < b = R + d puts the
     share (R - d + w)(R + d - w)/(4 d w) of its charge dq in the ball, so
@@ -643,27 +628,31 @@ def _ball_charge(sol: TfSolution, d: float, radius: float, a, b):
     2^-40 of Q (its terms cancel for d << R and R << d, where the window is
     narrow), Gauss-Legendre on each side of d sums the window instead.
     """
-    ds0, s0 = _between(a, b, 0)
-    dsp, sp = _between(a, b, 3)
-    dsm = a[2] - b[2]
+    ds0, s0 = _between(a, b, _CHARGE)
+    dsp, sp = _between(a, b, _MOMENT)
+    o_a, o_b = -a[_DPHI], -b[_DPHI]
+    dsm = o_a - o_b
     m = (radius - d) * (radius + d)
-    inner = a[0] if radius > d else 0.0
+    inner = a[_CHARGE] if radius > d else 0.0
     window = (m * dsm + 2.0 * d * ds0 - dsp) / (4.0 * d)
     slope = radius * dsm / (2.0 * d)
-    size = inner + (abs(m) * a[2] + 2.0 * d * s0 + sp) / (4.0 * d)
+    size = inner + (abs(m) * o_a + 2.0 * d * s0 + sp) / (4.0 * d)
     if _ROUNDING * size > _CLOSED_FORM_RTOL * abs(inner + window):
         w, dq = _window_gauss(sol, d, radius)
         share = (radius - (d - w)) * ((max(radius, d) - w) + min(radius, d)) / w
         window = float(np.sum(dq * share)) / (4.0 * d)
         slope = radius * float(np.sum(dq / w)) / (2.0 * d)
         size = inner + window
-    bend = slope / radius + radius * (b[5] - math.copysign(a[5], radius - d)) / (2.0 * d)
+    # -o'(w) = phi^{3/2}/sqrt(w) at the window ends, inf at w = 0
+    do_a, do_b = (row[_PHI] ** 1.5 / math.sqrt(w) if w > 0.0 else math.inf
+                  for row, w in ((a, abs(radius - d)), (b, radius + d)))
+    bend = slope / radius + radius * (do_b - math.copysign(do_a, radius - d)) / (2.0 * d)
     return inner + window, slope, bend, _ROUNDING * size
 
 
 def _ball_potential(sol: TfSolution, d: float, radius: float, a, b, c) -> float:
     """int_{|y - x| <= R} rho_1(y)/|x - y| dy at |x| = d > 0 (TF units), from
-    the _ball_rows a, b and c at |R - d|, R + d and d.
+    the rows a, b and c at |R - d|, R + d and d.
 
     Shells inside the ball give dq/max(w, d): q(n)/d + o(n) - o(R - d),
     n = min(R - d, d), if R > d.  Window shells give (R - |d - w|)/(2 d w):
@@ -671,12 +660,13 @@ def _ball_potential(sol: TfSolution, d: float, radius: float, a, b, c) -> float:
     [m, b], m = max(d, a), with the moments and rule of _ball_charge.
     """
     near, mid = (c, a) if abs(radius - d) >= d else (a, c)
-    inside = near[0] / d + (near[2] - a[2]) if radius > d else 0.0
-    ds0_lo, s0_lo = _between(a, mid, 0)
-    ds0_hi, s0_hi = _between(mid, b, 0)
-    window = ((radius - d) * (a[2] - mid[2]) + ds0_lo
-              + (radius + d) * (mid[2] - b[2]) - ds0_hi) / (2.0 * d)
-    size = (abs(radius - d) * a[2] + (radius + d) * mid[2] + s0_lo + s0_hi) / (2.0 * d)
+    o_a, o_mid, o_b = -a[_DPHI], -mid[_DPHI], -b[_DPHI]
+    inside = near[_CHARGE] / d + (-near[_DPHI] - o_a) if radius > d else 0.0
+    ds0_lo, s0_lo = _between(a, mid, _CHARGE)
+    ds0_hi, s0_hi = _between(mid, b, _CHARGE)
+    window = ((radius - d) * (o_a - o_mid) + ds0_lo
+              + (radius + d) * (o_mid - o_b) - ds0_hi) / (2.0 * d)
+    size = (abs(radius - d) * o_a + (radius + d) * o_mid + s0_lo + s0_hi) / (2.0 * d)
     if _ROUNDING * size > _CLOSED_FORM_RTOL * (inside + window):
         w, dq = _window_gauss(sol, d, radius)
         window = float(np.sum(dq * (radius - abs(d - w)) / w)) / (2.0 * d)
@@ -684,7 +674,7 @@ def _ball_potential(sol: TfSolution, d: float, radius: float, a, b, c) -> float:
 
 
 def _hole_radius(sol: TfSolution, Z: float, d: float):
-    """R_1 at d (TF units) as in exchange_hole_radius, the _ball_rows at
+    """R_1 at d (TF units) as in exchange_hole_radius, the rows at
     |R_1 - d| and R_1 + d of the evaluation that stopped the search (None if
     the step test did) and d's row, which joins the first lookup."""
     if Z <= 0.5:
@@ -693,20 +683,20 @@ def _hole_radius(sol: TfSolution, Z: float, d: float):
     if not 0.0 < d < math.inf:
         raise ArithmeticError(f"the centre d = {d} (TF units) is not a positive float")
     target = 0.5 / Z
-    lo, hi, reached = 0.0, d + float(sol.grid[-1]), False
+    lo, hi, reached = 0.0, d + sol._ends[1], False
     try:
         local = (3.0 * target) ** (1.0 / 3.0) * math.sqrt(d * math.exp(-_sommerfeld_psi(d)))
     except OverflowError:  # d^3 beyond floats: start from the ball that reaches the core
         local = math.inf
     radius = min(hi, local, d + (1.5 * target) ** (2.0 / 3.0))
-    *rows, centre = _ball_rows(sol, (abs(radius - d), radius + d, d))
+    *rows, centre = sol._rows((abs(radius - d), radius + d, d))
     for _ in range(100):
         charge, slope, bend, rounding = _ball_charge(sol, d, radius, *rows)
         if abs(charge - target) <= rounding:
             return radius, rows, centre
         if charge > target:
             hi, reached = radius, True
-        elif radius == hi == d and sol._values[-1, _CHARGE, -1] >= target:
+        elif radius == hi == d and sol._values[-1, 2, -1] >= target:
             return radius, rows, centre  # radius d + x_end holds q(x_end): R_1 is in (d, d + x_end]
         elif radius == hi:
             raise InsufficientChargeError(
@@ -726,7 +716,7 @@ def _hole_radius(sol: TfSolution, Z: float, d: float):
         if not lo < new < hi:
             new = hi if not reached else math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
         radius = new
-        rows = _ball_rows(sol, (abs(radius - d), radius + d))
+        rows = sol._rows((abs(radius - d), radius + d))
     raise ArithmeticError(f"no half-charge radius found at d = {d} (TF units)")
 
 
@@ -775,10 +765,10 @@ def screening_potential(Z: float, c: float, sol: TfSolution, x: float) -> float:
         if d + sol._ends[1] == d:  # no float radius places the ball: the hole gives 1/(2Z d)
             ball = 0.5 / z / d
         else:
-            window = rows or _ball_rows(sol, (abs(radius - d), radius + d))
+            window = rows or sol._rows((abs(radius - d), radius + d))
             ball = _ball_potential(sol, d, radius, *window, centre)
         hole = z ** (4.0 / 3.0) * ball / TF_LENGTH_B
-        full = z ** (4.0 / 3.0) * ((centre[0] / d + centre[6]) / TF_LENGTH_B)
+        full = z ** (4.0 / 3.0) * ((centre[_CHARGE] / d + centre[_OUTER]) / TF_LENGTH_B)
         return (full - hole) / (light * light)
 
     return _finite("screening_potential", chi, Z=Z, c=c, x=x)

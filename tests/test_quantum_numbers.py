@@ -50,7 +50,7 @@ def test_invalid_channels_rejected():
         ChannelIndex(1, 1.0)  # integer j
     with pytest.raises(ValueError):
         ChannelIndex(-1, 0.5)
-    for j in (10**400, -10**400, "0.5", None):  # never converted to a float
+    for j in (10**400, -10**400, "0.5", None, np.array([0.5])):  # never converted to a float
         with pytest.raises(ValueError, match="j must be a half-integer"):
             ChannelIndex(0, j)
     assert ChannelIndex(0, np.array(0.5)).j == 0.5  # a 0-d array compares like its float

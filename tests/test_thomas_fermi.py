@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from scipy.optimize import brentq
 
 from relscott import (
     InsufficientChargeError,
+    NistRecord,
+    PhysicalConstants,
     density,
     exchange_hole_radius,
     hurwitz_zeta,
@@ -22,13 +25,19 @@ from relscott import (
 )
 from relscott.cli import main
 from relscott.thomas_fermi import (
+    _CHARGE,
+    _CHARGE_REST,
+    _DPHI,
     _GAUSS_W,
     _GAUSS_X,
+    _MOMENT,
+    _MOMENT_REST,
+    _OUTER,
+    _PHI,
     TF_LENGTH_B,
     TOL_MIN,
     _ball_charge,
     _ball_potential,
-    _ball_rows,
     _eliminate,
 )
 
@@ -141,6 +150,11 @@ def test_node_columns_join_the_head_and_the_decay(tf_solution):
         assert off_grid == pytest.approx(on_grid, rel=1e-9, abs=0.0), end
 
 
+# the row slots that hold the node table's q, o, p and p's rest, the array
+# lookup's last four columns
+_TABLE_SLOTS = [_CHARGE, _OUTER, _MOMENT, _MOMENT_REST]
+
+
 def _array_lookup(sol, x):
     """The array lookup the row lookup replaced, on ln x from math.log:
     searchsorted domains, one batched einsum, node hits.  Returns ln phi, its
@@ -179,7 +193,7 @@ def _lookup_points(sol, count: int, seed: int) -> list:
 def test_row_lookup_is_the_same_alone_and_in_any_batch(tf_solution):
     x = _lookup_points(tf_solution, 60, 11)
     alone = [tf_solution._lookup([v])[0] for v in x]
-    assert all(len(row) == 6 and all(type(c) is float for c in row) for row in alone)
+    assert all(len(row) == 7 and all(type(c) is float for c in row) for row in alone)
     rng = np.random.default_rng(12)
     for size in (2, 3, 7, len(x)):
         order = rng.permutation(len(x)).tolist()
@@ -194,10 +208,10 @@ def test_row_lookup_keeps_the_array_lookups_columns(tf_solution):
     x = _lookup_points(tf_solution, 400, 13)
     rows = np.array(tf_solution._lookup(x))
     old = _array_lookup(tf_solution, x)
-    assert np.array_equal(rows[:, 2:], old[:, 2:])
+    assert np.array_equal(rows[:, _TABLE_SLOTS], old[:, 2:])
     phi = np.exp(old[:, 0])
-    assert np.all(np.abs(rows[:, 0] - phi) <= np.spacing(phi))
-    assert np.allclose(rows[:, 1], phi * old[:, 1] / (2.0 * np.array(x)), rtol=4e-16, atol=0.0)
+    assert np.all(np.abs(rows[:, _PHI] - phi) <= np.spacing(phi))
+    assert np.allclose(rows[:, _DPHI], phi * old[:, 1] / (2.0 * np.array(x)), rtol=4e-16, atol=0.0)
 
 
 def test_row_lookup_on_breaks_and_grid_ends_takes_the_array_lookups_domain(tf_solution):
@@ -207,10 +221,10 @@ def test_row_lookup_on_breaks_and_grid_ends_takes_the_array_lookups_domain(tf_so
     x = [*on_breaks, float(tf_solution.grid[0]), float(tf_solution.grid[-1])]
     rows = np.array(tf_solution._lookup(x))
     old = _array_lookup(tf_solution, x)
-    assert np.array_equal(rows[:, 2:], old[:, 2:])
+    assert np.array_equal(rows[:, _TABLE_SLOTS], old[:, 2:])
     phi = [math.exp(psi) for psi in old[:, 0].tolist()]
-    assert rows[:, 0].tolist() == phi
-    assert rows[:, 1].tolist() == [p * psi_t / (2.0 * v) for p, psi_t, v in zip(phi, old[:, 1], x)]
+    assert rows[:, _PHI].tolist() == phi
+    assert rows[:, _DPHI].tolist() == [p * psi_t / (2.0 * v) for p, psi_t, v in zip(phi, old[:, 1], x)]
 
 
 def test_row_lookup_on_a_node_returns_the_node_values(tf_solution):
@@ -223,7 +237,9 @@ def test_row_lookup_on_a_node_returns_the_node_values(tf_solution):
             found += 1
             psi, psi_t, *rest = values[:-1, j].tolist()
             phi = math.exp(psi)
-            assert tf_solution._lookup([x]) == [(phi, phi * psi_t / (2.0 * x), *rest)], (d, j)
+            (row,) = tf_solution._lookup([x])
+            assert [row[_PHI], row[_DPHI]] == [phi, phi * psi_t / (2.0 * x)], (d, j)
+            assert [row[k] for k in _TABLE_SLOTS] == rest, (d, j)
     assert found >= 100
 
 
@@ -277,6 +293,14 @@ def test_charge_normalization(tf_solution):
     q_tail, _ = quad(lambda u: 4.0 * np.pi * rho(u) * u * u, r[-1], np.inf)
     q_head = (2.0 / 3.0) * (r[0] / TF_LENGTH_B) ** 1.5
     assert q_grid + q_tail + q_head == pytest.approx(1.0, abs=1e-6)
+
+
+def test_charge_identity_holds_in_each_row(tf_solution):
+    # a row's q and its rest phi - x phi' sum to 1 for the exact profile; the
+    # computed one misses by 5.7e-14 at most (at x = 1.06 on the grid) and by a
+    # few ulp off it
+    rows = tf_solution._rows(np.geomspace(1e-12, 1e8, 20001).tolist())
+    assert max(abs(1.0 - row[_CHARGE] - row[_CHARGE_REST]) for row in rows) <= 2e-13
 
 
 def test_density_scaling(tf_solution):
@@ -378,7 +402,7 @@ def test_moment_kernels_match_the_node_sums(fine_solution, d):
     dt = d / TF_LENGTH_B
     for radius in (0.5 * root, root * (1 - 1e-6), root, root * (1 + 1e-6), 2.0 * root):
         rt = radius / TF_LENGTH_B
-        a, b, c = _ball_rows(fine_solution, (abs(rt - dt), rt + dt, dt))
+        a, b, c = fine_solution._rows((abs(rt - dt), rt + dt, dt))
         charge = _ball_charge(fine_solution, dt, rt, a, b)[0]
         hole = _ball_potential(fine_solution, dt, rt, a, b, c) / TF_LENGTH_B
         assert abs(charge - ball_charge(fine_solution, d, radius)) <= 1e-12
@@ -427,6 +451,22 @@ def test_hole_radius_far_out_is_the_centre(tf_solution):
     for r in (1.0, 1e20):
         with pytest.raises(InsufficientChargeError, match="^charge cannot reach 1/2 within radius"):
             exchange_hole_radius(0.5 + 1e-10, tf_solution, r)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda sol: exchange_hole_radius(8.0, sol, 1e308), "Z = 8.0, r = 1e+308"),
+    (lambda sol: screening_potential(8.0, 1e-10, sol, 1e300), "Z = 8.0, c = 1e-10, x = 1e+300"),
+    (lambda sol: screening_potential(8.0, 1e300, sol, 1e-300), "Z = 8.0, c = 1e+300, x = 1e-300"),
+], ids=["hole_d_overflows", "screening_d_overflows", "screening_d_underflows"])
+def test_hole_search_names_a_centre_beyond_floats(tf_solution, call, message):
+    # the centre d = Z^(1/3) r/b (r = x/c for screening) overflows to inf or
+    # underflows to 0: the search's ArithmeticError reaches the caller as its
+    # ValueError naming every argument
+    named = "cannot be evaluated in floats at " + re.escape(message) + "$"
+    with pytest.raises(ValueError, match=named) as info:
+        call(tf_solution)
+    assert isinstance(info.value.__cause__, ArithmeticError)
+    assert "is not a positive float" in str(info.value.__cause__)
 
 
 def test_screening_far_out_leaves_z_minus_a_half(tf_solution):
@@ -600,15 +640,41 @@ def test_non_numbers_name_the_argument(tf_solution, bad):
     assert sol.phi_at("0.5") == sol.phi_at(0.5)
 
 
-def test_profile_export(tf_solution, tmp_path):
-    out = tmp_path / "profile.csv"
-    tf_solution.export_profile_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "x,phi"
-    assert len(lines) == 1 + tf_solution.grid.size
-    x0, p0 = lines[1].split(",")
-    assert float(x0) == pytest.approx(tf_solution.grid[0], rel=1e-12)
-    assert float(p0) == pytest.approx(tf_solution.phi[0], rel=1e-12)
+# a call that owes a scalar, a value it takes, and the start of the error that names it
+_SCALAR_ARGUMENTS = {
+    "tf_energy_Z": (lambda sol, v: tf_energy(v, sol), 2, "Z must be positive and finite"),
+    "density_Z": (lambda sol, v: density(v, sol)(1.0), 2, "Z must be positive and finite"),
+    "mean_field_Z": (lambda sol, v: mean_field(v, sol, 1.0), 2, "Z must be positive and finite"),
+    "exchange_hole_radius_Z": (lambda sol, v: exchange_hole_radius(v, sol, 1.0), 2,
+                               "Z must be positive and finite"),
+    "exchange_hole_radius_r": (lambda sol, v: exchange_hole_radius(2.0, sol, v), 1,
+                               "r must be positive and finite"),
+    "screening_potential_Z": (lambda sol, v: screening_potential(v, 137.0, sol, 1.0), 2,
+                              "Z must be positive and finite"),
+    "screening_potential_c": (lambda sol, v: screening_potential(2.0, v, sol, 1.0), 137,
+                              "c must be positive and finite"),
+    "screening_potential_x": (lambda sol, v: screening_potential(2.0, 137.0, sol, v), 1,
+                              "x must be positive and finite"),
+    "tf_functional_at_scale": (lambda sol, v: tf_functional_at_scale(sol, v), 1,
+                               "amplitude must be positive and finite"),
+    "NistRecord": (lambda sol, v: NistRecord(1, v), -1, "e_total must be finite and negative"),
+    "PhysicalConstants": (lambda sol, v: PhysicalConstants(v), 0.007, "alpha must lie in"),
+}
+
+
+@pytest.mark.parametrize("owner", list(_SCALAR_ARGUMENTS))
+def test_an_array_where_a_scalar_is_owed_names_the_argument(tf_solution, owner):
+    # an array of one or more dimensions is no scalar, even with one element;
+    # a 0-d array, a numpy scalar and a Decimal compare like their number
+    call, value, message = _SCALAR_ARGUMENTS[owner]
+    for array in (np.array([value]), np.array([value, value]), np.array([[value]])):
+        with pytest.raises(ValueError, match="^" + message):
+            call(tf_solution, array)
+    scalars = [np.array(value), np.float64(value), Decimal(str(value))]
+    if isinstance(value, int):
+        scalars.append(np.int64(value))
+    for scalar in scalars:
+        call(tf_solution, scalar)
 
 
 def test_solver_tol_domain():
