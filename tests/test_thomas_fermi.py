@@ -677,6 +677,18 @@ def test_an_array_where_a_scalar_is_owed_names_the_argument(tf_solution, owner):
         call(tf_solution, scalar)
 
 
+def test_profile_export(tf_solution, tmp_path, capsys):
+    out = tmp_path / "profile.csv"
+    assert main(["tf", "--profile", str(out)]) == 0
+    capsys.readouterr()
+    lines = out.read_text().splitlines()
+    assert lines[0] == "x,phi"
+    assert len(lines) == 1 + tf_solution.grid.size
+    x0, p0 = lines[1].split(",")
+    assert float(x0) == pytest.approx(tf_solution.grid[0], rel=1e-12)
+    assert float(p0) == pytest.approx(tf_solution.phi[0], rel=1e-12)
+
+
 def test_solver_tol_domain():
     with pytest.raises(ValueError):
         solve_tf(1e-3)
